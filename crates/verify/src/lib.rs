@@ -210,7 +210,7 @@ pub fn verify_system(
     let safety_clean = findings.iter().all(|f| f.check == Check::TagProtocolHazard);
     if options.check_liveness && exploration.exhaustive && safety_clean {
         for (pe, witness) in exploration
-            .starvation_witnesses(programs.len())
+            .starvation_witnesses(&model)
             .into_iter()
             .enumerate()
         {
@@ -234,7 +234,7 @@ pub fn verify_system(
     VerifyReport {
         findings,
         exhaustive: exploration.exhaustive,
-        states: exploration.states.len(),
+        states: exploration.states(),
         transitions: exploration.transitions,
         max_states: options.max_states,
         fingerprint,
@@ -360,26 +360,25 @@ pub fn fingerprint(
 /// Reconstructs the counterexample trace from the initial state to
 /// `target`.
 fn build_trace(model: &Model, exploration: &Exploration, target: usize, claim: Claim) -> Trace {
-    let path = exploration.path_to(target);
-    let steps: Vec<TraceStep> = path
-        .iter()
+    let steps: Vec<TraceStep> = exploration
+        .path_to(target)
+        .into_iter()
         .skip(1)
-        .map(|&id| {
-            let rec = &exploration.states[id];
+        .map(|id| {
+            let (fired, choice) = exploration.edge_into(model, id);
             TraceStep {
-                fired: rec.fired_in.clone(),
-                forks: rec.choice.forks.clone(),
-                injections: rec
-                    .choice
+                fired,
+                forks: choice.forks,
+                injections: choice
                     .injections
                     .iter()
                     .map(|&(li, tag)| (li, u32::from(tag)))
                     .collect(),
-                retires: rec.choice.retires.clone(),
+                retires: choice.retires,
             }
         })
         .collect();
-    let bad_state = model.decode(&exploration.states[target].encoded);
+    let bad_state = exploration.state(target);
     let queues = (0..model.queues.len())
         .map(|qid| QueueClaim {
             queue: match model.queues[qid].kind {
@@ -392,24 +391,22 @@ fn build_trace(model: &Model, exploration: &Exploration, target: usize, claim: C
                 },
                 QueueKind::PortResp { port } => QueueRef::Port { port, part: "data" },
             },
-            occupancy: bad_state.queues[qid].len(),
-            tags: if model.queues[qid].tag_sensitive {
-                bad_state.queues[qid]
-                    .iter()
-                    .map(|&t| u32::from(t))
-                    .collect()
-            } else {
-                Vec::new()
-            },
+            occupancy: model.queue_len(bad_state, qid),
+            tags: model
+                .queue_tags(bad_state, qid)
+                .iter()
+                .map(|&t| u32::from(t))
+                .collect(),
         })
         .collect();
+    let num_pes = model.pes.len();
     Trace {
         claim,
         steps,
         bad: BadState {
-            preds: bad_state.preds.clone(),
-            halted: bad_state.halted.clone(),
-            tokens: bad_state.tokens(),
+            preds: (0..num_pes).map(|pe| model.preds(bad_state, pe)).collect(),
+            halted: (0..num_pes).map(|pe| model.halted(bad_state, pe)).collect(),
+            tokens: model.tokens(bad_state),
             queues,
         },
     }
@@ -502,6 +499,83 @@ mod tests {
             .findings
             .iter()
             .any(|f| f.check == Check::FabricDeadlock));
+    }
+
+    #[test]
+    fn queues_above_255_tokens_keep_their_occupancy() {
+        // The undrained output must fill to its capacity of 300. An
+        // 8-bit occupancy field wraps at 256 and aliases the reset
+        // state, "proving" the producer runs forever.
+        let mut params = Params::default();
+        params.queue_capacity = 300;
+        let fixture = undrained_output(&params);
+        let report = run(&fixture, &params);
+        assert!(report.exhaustive, "{report:?}");
+        assert_eq!(report.states, 301, "{report:?}");
+        let overflow = report
+            .findings
+            .iter()
+            .find(|f| f.check == Check::ChannelOverflow)
+            .expect("the queue fills to capacity");
+        let trace = overflow.trace.as_ref().expect("counterexample");
+        assert_eq!(trace.steps.len(), 300);
+        assert_eq!(trace.bad.tokens, 300);
+        assert_eq!(trace.bad.queues[0].occupancy, 300);
+    }
+
+    #[test]
+    fn write_port_credits_above_255_keep_counting() {
+        // A source feeding only a write port's address queue fills all
+        // 300 credits, then wedges: no data ever arrives to commit.
+        let mut params = Params::default();
+        params.queue_capacity = 300;
+        let links = [Link {
+            from: tia_fabric::OutputRef::Source { source: 0 },
+            to: tia_fabric::InputRef::WriteAddr { port: 0 },
+        }];
+        let report = verify_system(
+            &[relay_program(&params)],
+            &params,
+            &links,
+            &VerifyOptions::default(),
+        );
+        assert!(report.exhaustive, "{report:?}");
+        assert_eq!(report.states, 301, "{report:?}");
+        let deadlock = report
+            .findings
+            .iter()
+            .find(|f| f.check == Check::FabricDeadlock)
+            .expect("the credits run out");
+        let trace = deadlock.trace.as_ref().expect("counterexample");
+        assert_eq!(trace.bad.tokens, 300);
+    }
+
+    #[test]
+    fn links_sharing_an_endpoint_are_out_of_reach() {
+        let params = Params::default();
+        let mut fixture = pipeline(&params);
+        fixture.links.push(Link {
+            from: tia_fabric::OutputRef::Source { source: 1 },
+            to: tia_fabric::InputRef::Pe { pe: 0, queue: 0 },
+        });
+        let report = run(&fixture, &params);
+        assert!(
+            !report.exhaustive && report.findings.is_empty(),
+            "{report:?}"
+        );
+        let note = report.note.expect("an inconclusive note");
+        assert!(note.contains("shares an endpoint"), "{note}");
+    }
+
+    #[test]
+    fn state_bounds_beyond_u32_ids_are_out_of_reach() {
+        let params = Params::default();
+        let mut fixture = pipeline(&params);
+        fixture.options.max_states = usize::MAX;
+        let report = run(&fixture, &params);
+        assert!(!report.exhaustive && report.states == 0, "{report:?}");
+        let note = report.note.expect("an inconclusive note");
+        assert!(note.contains("can number"), "{note}");
     }
 
     #[test]

@@ -81,6 +81,9 @@ pub(crate) struct QueueModel {
     /// Whether any link drains this queue (undrained PE outputs fill
     /// up and wedge their producer — the channel-overflow check).
     pub drained: bool,
+    /// Byte offset of the queue's length field in a packed state; its
+    /// tags (tag-sensitive queues only) follow the length.
+    pub at: usize,
 }
 
 /// The abstract effect of firing one instruction slot.
@@ -135,22 +138,52 @@ pub(crate) struct Model {
     pub write_ports: Vec<(usize, usize)>,
     /// Sequential write ports: data counter.
     pub seq_ports: Vec<usize>,
+    /// Where each field lives in a packed state.
+    pub layout: Layout,
 }
 
-/// One abstract product state. FIFOs store head-first tag bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct AState {
-    pub preds: Vec<u32>,
-    pub halted: Vec<bool>,
-    pub queues: Vec<Vec<u8>>,
-    pub counters: Vec<u8>,
+/// The byte layout of a packed abstract state. Every state is one
+/// fixed-stride record: each PE's predicate file (`pred_bytes`,
+/// little-endian), the halt latches as a bitset, then per queue its
+/// length (`count_bytes`) followed, for tag-sensitive queues only, by
+/// `cap` head-first tag bytes that are zero past the length, and last
+/// the occupancy counters (`count_bytes` each). Field widths follow
+/// `Params`, so the record is canonical and every reachable value is
+/// representable: equal records are equal states.
+#[derive(Debug)]
+pub(crate) struct Layout {
+    /// Bytes per packed state.
+    pub stride: usize,
+    /// Bytes per predicate file: 1, or 2 above 8 predicates.
+    pred_bytes: usize,
+    /// Offset of the halt-latch bitset.
+    halt_at: usize,
+    /// Bytes per queue length and counter: 1, or 2 above a queue
+    /// capacity of 255.
+    count_bytes: usize,
+    /// Offset of the first occupancy counter.
+    counter_at: usize,
 }
 
-impl AState {
-    /// Total buffered tokens (the watchdog's `queued_tokens` analog).
-    pub fn tokens(&self) -> usize {
-        self.queues.iter().map(Vec::len).sum::<usize>()
-            + self.counters.iter().map(|&c| c as usize).sum::<usize>()
+/// Reads a 1- or 2-byte little-endian field.
+fn load(state: &[u8], at: usize, width: usize) -> usize {
+    if width == 1 {
+        usize::from(state[at])
+    } else {
+        usize::from(u16::from_le_bytes([state[at], state[at + 1]]))
+    }
+}
+
+/// Writes a 1- or 2-byte little-endian field.
+fn store(state: &mut [u8], at: usize, width: usize, value: usize) {
+    debug_assert!(
+        value >> (8 * width) == 0,
+        "{value} overflows a {width}-byte field"
+    );
+    if width == 1 {
+        state[at] = value as u8;
+    } else {
+        state[at..at + 2].copy_from_slice(&(value as u16).to_le_bytes());
     }
 }
 
@@ -165,13 +198,26 @@ pub(crate) struct Choice {
     pub retires: Vec<(usize, usize)>,
 }
 
-/// Deterministic facts about one abstract step from a given state.
-pub(crate) struct StepDetail {
-    /// The slot each PE fires (independent of every choice).
+/// Buffers [`Model::successors`] reuses from one expansion to the
+/// next, so that once they have grown, expanding a state allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// The slot each PE fires from the state last expanded.
     pub fired: Vec<Option<usize>>,
-    /// No PE fires, no link can move, no port can act, and the
-    /// environment cannot inject — the state is frozen forever.
-    pub stuck: bool,
+    /// The state after the choice-independent PE and link phases.
+    base: Vec<u8>,
+    /// The successor under construction.
+    next: Vec<u8>,
+    choice: Choice,
+    /// Fork dimensions: `(pe, predicate bit mask)`.
+    forks: Vec<(usize, u32)>,
+    /// Injection dimensions: source link ids.
+    sources: Vec<usize>,
+    /// Retirement dimensions: `(port, max retirements)`.
+    retires: Vec<(usize, usize)>,
+    /// The mixed-radix choice counter.
+    indices: Vec<usize>,
 }
 
 impl Model {
@@ -189,8 +235,22 @@ impl Model {
                 params.num_preds, MAX_EXHAUSTIVE_PREDS
             ));
         }
+        // The cap is checked after each full expansion, which adds at
+        // most `MAX_BRANCH` states; ids are `u32` with `u32::MAX` free.
+        let max_ids = u32::MAX as usize - MAX_BRANCH;
+        if options.max_states > max_ids {
+            return Err(format!(
+                "state bound of {} exceeds the {max_ids} states the explorer can number",
+                options.max_states
+            ));
+        }
         let num_pes = programs.len();
         let cap = params.queue_capacity;
+        if cap > usize::from(u16::MAX) {
+            return Err(format!(
+                "queue capacity {cap} exceeds the checker's 16-bit occupancy fields"
+            ));
+        }
 
         // Which PE queues need state: referenced by the program, the
         // endpoint of a channel, or holding a seed token.
@@ -215,7 +275,19 @@ impl Model {
         let mut num_read_ports = 0usize;
         let mut num_write_ports = 0usize;
         let mut num_seq_ports = 0usize;
-        for link in links {
+        for (li, link) in links.iter().enumerate() {
+            // The transition relation moves each link independently,
+            // which holds only while no two links share an endpoint
+            // (as `System::connect` enforces).
+            if links[..li]
+                .iter()
+                .any(|l| l.from == link.from || l.to == link.to)
+            {
+                return Err(format!(
+                    "link {li} ({:?} -> {:?}) shares an endpoint with an earlier link",
+                    link.from, link.to
+                ));
+            }
             match link.from {
                 OutputRef::Pe { pe, queue } => {
                     if pe >= num_pes || queue >= params.num_output_queues {
@@ -264,6 +336,7 @@ impl Model {
                         cap,
                         tag_sensitive: false,
                         drained: true,
+                        at: 0,
                     });
                 }
             }
@@ -275,6 +348,7 @@ impl Model {
                         cap,
                         tag_sensitive: false,
                         drained: false,
+                        at: 0,
                     });
                 }
             }
@@ -287,6 +361,7 @@ impl Model {
                 cap,
                 tag_sensitive: false,
                 drained: true,
+                at: 0,
             });
             let pending = queues.len();
             queues.push(QueueModel {
@@ -294,6 +369,7 @@ impl Model {
                 cap,
                 tag_sensitive: false,
                 drained: true,
+                at: 0,
             });
             let resp = queues.len();
             queues.push(QueueModel {
@@ -301,6 +377,7 @@ impl Model {
                 cap,
                 tag_sensitive: false,
                 drained: false,
+                at: 0,
             });
             read_ports.push(ReadPortModel {
                 addr,
@@ -537,6 +614,24 @@ impl Model {
             });
         }
 
+        // Pack the state: predicates, halt bits, queues, counters.
+        let pred_bytes = if params.num_preds > 8 { 2 } else { 1 };
+        let count_bytes = if cap > usize::from(u8::MAX) { 2 } else { 1 };
+        let halt_at = num_pes * pred_bytes;
+        let mut at = halt_at + num_pes.div_ceil(8);
+        for queue in &mut queues {
+            queue.at = at;
+            at += count_bytes + if queue.tag_sensitive { queue.cap } else { 0 };
+        }
+        let layout = Layout {
+            // At least one byte, so that every state has an address.
+            stride: (at + counter_caps.len() * count_bytes).max(1),
+            pred_bytes,
+            halt_at,
+            count_bytes,
+            counter_at: at,
+        };
+
         Ok(Model {
             params: params.clone(),
             pes,
@@ -546,74 +641,178 @@ impl Model {
             read_ports,
             write_ports,
             seq_ports,
+            layout,
         })
     }
 
     /// The initial abstract state: reset predicates, empty queues plus
     /// any seed tokens.
-    pub fn initial(&self, options: &VerifyOptions) -> Result<AState, String> {
-        let mut state = AState {
-            preds: vec![0; self.pes.len()],
-            halted: vec![false; self.pes.len()],
-            queues: self.queues.iter().map(|_| Vec::new()).collect(),
-            counters: vec![0; self.counter_caps.len()],
-        };
+    pub fn initial(&self, options: &VerifyOptions) -> Result<Vec<u8>, String> {
+        let mut state = vec![0; self.layout.stride];
         for seed in &options.seed_tokens {
             let qid = self.pes[seed.pe].in_qid[seed.queue].expect("seed queue is tracked");
-            if state.queues[qid].len() >= self.queues[qid].cap {
+            if self.queue_len(&state, qid) >= self.queues[qid].cap {
                 return Err(format!(
                     "seed tokens overflow pe{} %i{} (capacity {})",
                     seed.pe, seed.queue, self.queues[qid].cap
                 ));
             }
-            let tag = if self.queues[qid].tag_sensitive {
-                seed.tag.value() as u8
-            } else {
-                0
-            };
-            state.queues[qid].push(tag);
+            self.push(&mut state, qid, seed.tag.value() as u8);
         }
         Ok(state)
     }
 
-    /// The slot each PE fires from `state` (its first eligible slot in
-    /// program order), mirroring `FuncPe::triggered_slot` exactly.
-    pub fn fired_slots(&self, state: &AState) -> Vec<Option<usize>> {
-        (0..self.pes.len())
-            .map(|pe| {
-                if state.halted[pe] {
-                    return None;
-                }
-                let model = &self.pes[pe];
-                let preds = PredState::from_bits(state.preds[pe]);
-                match model.compiled.candidates(preds) {
-                    Some(candidates) => candidates
-                        .iter()
-                        .map(|&s| s as usize)
-                        .find(|&s| self.queue_ready(pe, s, state)),
-                    None => (0..model.compiled.slots().len()).find(|&s| {
-                        let c = model.compiled.slot(s);
-                        c.valid && c.pred_matches(state.preds[pe]) && self.queue_ready(pe, s, state)
-                    }),
-                }
-            })
-            .collect()
+    /// PE `pe`'s predicate bits in `state`.
+    pub fn preds(&self, state: &[u8], pe: usize) -> u32 {
+        let width = self.layout.pred_bytes;
+        load(state, pe * width, width) as u32
+    }
+
+    fn set_preds(&self, state: &mut [u8], pe: usize, bits: u32) {
+        let width = self.layout.pred_bytes;
+        store(state, pe * width, width, bits as usize);
+    }
+
+    /// Whether PE `pe` has halted in `state`.
+    pub fn halted(&self, state: &[u8], pe: usize) -> bool {
+        state[self.layout.halt_at + pe / 8] >> (pe % 8) & 1 != 0
+    }
+
+    fn set_halted(&self, state: &mut [u8], pe: usize) {
+        state[self.layout.halt_at + pe / 8] |= 1 << (pe % 8);
+    }
+
+    /// Occupancy of queue `qid` in `state`.
+    pub fn queue_len(&self, state: &[u8], qid: usize) -> usize {
+        load(state, self.queues[qid].at, self.layout.count_bytes)
+    }
+
+    /// The head-first tags of queue `qid` in `state`; empty for a
+    /// tag-insensitive queue, whose tags are all 0.
+    pub fn queue_tags<'s>(&self, state: &'s [u8], qid: usize) -> &'s [u8] {
+        if !self.queues[qid].tag_sensitive {
+            return &[];
+        }
+        let at = self.queues[qid].at + self.layout.count_bytes;
+        &state[at..at + self.queue_len(state, qid)]
+    }
+
+    /// The head tag of a non-empty queue.
+    fn head(&self, state: &[u8], qid: usize) -> u8 {
+        self.queue_tags(state, qid).first().copied().unwrap_or(0)
+    }
+
+    /// Enqueues `tag` (dropped for a tag-insensitive queue).
+    fn push(&self, state: &mut [u8], qid: usize, tag: u8) {
+        let queue = &self.queues[qid];
+        let width = self.layout.count_bytes;
+        let len = load(state, queue.at, width);
+        debug_assert!(len < queue.cap, "push into a full queue");
+        if queue.tag_sensitive {
+            state[queue.at + width + len] = tag;
+        }
+        store(state, queue.at, width, len + 1);
+    }
+
+    /// Dequeues the head of a non-empty queue and returns its tag.
+    fn pop(&self, state: &mut [u8], qid: usize) -> u8 {
+        let queue = &self.queues[qid];
+        let width = self.layout.count_bytes;
+        let len = load(state, queue.at, width);
+        debug_assert!(len > 0, "pop from an empty queue");
+        store(state, queue.at, width, len - 1);
+        if !queue.tag_sensitive {
+            return 0;
+        }
+        let tags = &mut state[queue.at + width..queue.at + width + len];
+        let head = tags[0];
+        tags.copy_within(1.., 0);
+        tags[len - 1] = 0;
+        head
+    }
+
+    fn counter(&self, state: &[u8], c: usize) -> usize {
+        let width = self.layout.count_bytes;
+        load(state, self.layout.counter_at + c * width, width)
+    }
+
+    fn set_counter(&self, state: &mut [u8], c: usize, value: usize) {
+        let width = self.layout.count_bytes;
+        store(state, self.layout.counter_at + c * width, width, value);
+    }
+
+    /// Total buffered tokens (the watchdog's `queued_tokens` analog).
+    pub fn tokens(&self, state: &[u8]) -> usize {
+        (0..self.queues.len())
+            .map(|qid| self.queue_len(state, qid))
+            .chain((0..self.counter_caps.len()).map(|c| self.counter(state, c)))
+            .sum()
+    }
+
+    /// Whether `dst` can take a token (a sink always can).
+    fn has_space(&self, state: &[u8], dst: DstSlot) -> bool {
+        match dst {
+            DstSlot::Queue(dq) => self.queue_len(state, dq) < self.queues[dq].cap,
+            DstSlot::Counter(c) => self.counter(state, c) < self.counter_caps[c],
+            DstSlot::Sink => true,
+        }
+    }
+
+    /// Delivers one token into `dst`.
+    fn deliver(&self, state: &mut [u8], dst: DstSlot, tag: u8) {
+        match dst {
+            DstSlot::Queue(dq) => self.push(state, dq, tag),
+            DstSlot::Counter(c) => {
+                let count = self.counter(state, c);
+                self.set_counter(state, c, count + 1);
+            }
+            DstSlot::Sink => {}
+        }
+    }
+
+    /// Whether the environment may inject on `link` in `state`.
+    fn can_inject(&self, state: &[u8], link: &LinkModel) -> bool {
+        link.src == SrcSlot::Source
+            && !link.alphabet.is_empty()
+            && link.dst != DstSlot::Sink
+            && self.has_space(state, link.dst)
+    }
+
+    /// Writes the slot each PE fires from `state` (its first eligible
+    /// slot in program order) into `fired`, mirroring
+    /// `FuncPe::triggered_slot` exactly.
+    pub fn fired_slots(&self, state: &[u8], fired: &mut Vec<Option<usize>>) {
+        fired.clear();
+        fired.extend((0..self.pes.len()).map(|pe| {
+            if self.halted(state, pe) {
+                return None;
+            }
+            let model = &self.pes[pe];
+            let bits = self.preds(state, pe);
+            match model.compiled.candidates(PredState::from_bits(bits)) {
+                Some(candidates) => candidates
+                    .iter()
+                    .map(|&s| s as usize)
+                    .find(|&s| self.queue_ready(pe, s, state)),
+                None => (0..model.compiled.slots().len()).find(|&s| {
+                    let c = model.compiled.slot(s);
+                    c.valid && c.pred_matches(bits) && self.queue_ready(pe, s, state)
+                }),
+            }
+        }));
     }
 
     /// The queue-side guards of one slot against an abstract state
     /// (mirrors `FuncPe::eligible` minus the predicate pattern).
-    fn queue_ready(&self, pe: usize, slot: usize, state: &AState) -> bool {
+    fn queue_ready(&self, pe: usize, slot: usize, state: &[u8]) -> bool {
         let model = &self.pes[pe];
         let c = model.compiled.slot(slot);
         for check in &c.checks {
             let qid = model.in_qid[check.queue as usize].expect("checked queue is tracked");
-            match state.queues[qid].first() {
-                None => return false,
-                Some(&head) => {
-                    if (u32::from(head) == check.tag.value()) == check.negate {
-                        return false;
-                    }
-                }
+            if self.queue_len(state, qid) == 0
+                || (u32::from(self.head(state, qid)) == check.tag.value()) == check.negate
+            {
+                return false;
             }
         }
         let mut need = c.need_mask;
@@ -621,259 +820,174 @@ impl Model {
             let q = need.trailing_zeros() as usize;
             need &= need - 1;
             let qid = model.in_qid[q].expect("read queue is tracked");
-            if state.queues[qid].is_empty() {
+            if self.queue_len(state, qid) == 0 {
                 return false;
             }
         }
         if let Some(q) = c.out_queue {
             let qid = model.out_qid[q as usize].expect("written queue is tracked");
-            if state.queues[qid].len() >= self.queues[qid].cap {
+            if self.queue_len(state, qid) >= self.queues[qid].cap {
                 return false;
             }
         }
         true
     }
 
-    /// Applies one abstract cycle under fully resolved nondeterminism.
-    /// `fired` must come from [`Model::fired_slots`] on `state`.
-    pub fn apply(&self, state: &AState, fired: &[Option<usize>], choice: &Choice) -> AState {
-        let mut next = state.clone();
-        // Phase 1: PEs fire (each touches only its own queues).
-        for (pe, slot) in fired.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            let eff = &self.pes[pe].effects[*slot];
-            for &q in &eff.deq {
-                next.queues[q].remove(0);
-            }
-            if let Some((q, tag)) = eff.out {
-                next.queues[q].push(tag);
-            }
-            let mut bits = (next.preds[pe] & !eff.clear_mask) | eff.set_mask;
-            if let Some(p) = eff.dst_pred {
-                let value = choice
-                    .forks
-                    .iter()
-                    .find(|(fpe, _)| *fpe == pe)
-                    .map(|&(_, v)| v)
-                    .unwrap_or(false);
-                if value {
-                    bits |= 1 << p;
-                } else {
-                    bits &= !(1 << p);
-                }
-            }
-            next.preds[pe] = bits & self.params.pred_mask();
-            if eff.halt {
-                next.halted[pe] = true;
-            }
-        }
-        // Phase 2: links transfer one token each, in link order (the
-        // endpoints are pairwise disjoint, so the order is cosmetic).
-        for (li, link) in self.links.iter().enumerate() {
-            match link.src {
-                SrcSlot::Queue(sq) => {
-                    if next.queues[sq].is_empty() {
-                        continue;
-                    }
-                    match link.dst {
-                        DstSlot::Queue(dq) => {
-                            if next.queues[dq].len() < self.queues[dq].cap {
-                                let tag = next.queues[sq].remove(0);
-                                let tag = if self.queues[dq].tag_sensitive {
-                                    tag
-                                } else {
-                                    0
-                                };
-                                next.queues[dq].push(tag);
-                            }
-                        }
-                        DstSlot::Counter(c) => {
-                            if (next.counters[c] as usize) < self.counter_caps[c] {
-                                next.queues[sq].remove(0);
-                                next.counters[c] += 1;
-                            }
-                        }
-                        DstSlot::Sink => {
-                            next.queues[sq].remove(0);
-                        }
-                    }
-                }
-                SrcSlot::Source => {
-                    let Some(&(_, tag)) = choice.injections.iter().find(|&&(l, _)| l == li) else {
-                        continue;
-                    };
-                    match link.dst {
-                        DstSlot::Queue(dq) => {
-                            debug_assert!(next.queues[dq].len() < self.queues[dq].cap);
-                            let tag = if self.queues[dq].tag_sensitive {
-                                tag
-                            } else {
-                                0
-                            };
-                            next.queues[dq].push(tag);
-                        }
-                        DstSlot::Counter(c) => {
-                            debug_assert!((next.counters[c] as usize) < self.counter_caps[c]);
-                            next.counters[c] += 1;
-                        }
-                        DstSlot::Sink => {}
-                    }
-                }
-            }
-        }
-        // Phase 3: memory ports. Read ports retire a chosen number of
-        // in-flight loads (covering every latency), then launch one
-        // request; write ports commit deterministically.
-        for (pi, port) in self.read_ports.iter().enumerate() {
-            let k = choice
-                .retires
-                .iter()
-                .find(|&&(p, _)| p == pi)
-                .map(|&(_, k)| k)
-                .unwrap_or(0);
-            for _ in 0..k {
-                let tag = next.queues[port.pending].remove(0);
-                debug_assert!(next.queues[port.resp].len() < self.queues[port.resp].cap);
-                next.queues[port.resp].push(tag);
-            }
-            if !next.queues[port.addr].is_empty()
-                && next.queues[port.pending].len() < self.queues[port.pending].cap
-            {
-                let tag = next.queues[port.addr].remove(0);
-                next.queues[port.pending].push(tag);
-            }
-        }
-        for &(a, d) in &self.write_ports {
-            if next.counters[a] > 0 && next.counters[d] > 0 {
-                next.counters[a] -= 1;
-                next.counters[d] -= 1;
-            }
-        }
-        for &d in &self.seq_ports {
-            if next.counters[d] > 0 {
-                next.counters[d] -= 1;
-            }
-        }
-        next
-    }
-
-    /// Enumerates every successor of `state` together with the choice
-    /// that produced it. Errors when the choice product exceeds
-    /// [`MAX_BRANCH`].
+    /// Calls `visit` with every successor of `state` and the choice
+    /// that produced it, in a fixed order: a mixed-radix count over the
+    /// forks, then the injections, then the retirements, the first
+    /// fork varying fastest. Returns whether `state` is stuck (it then
+    /// has no successors); either way `scratch.fired` holds the slot
+    /// each PE fires from it. Errors, before visiting anything, when
+    /// the choice product exceeds [`MAX_BRANCH`].
+    ///
+    /// One abstract cycle runs the PE, link and port phases in order.
+    /// Only the forked predicate bits, the injections and the port
+    /// phase depend on the choice, so the PE and link phases run once
+    /// per state. Injections go before the port phase because an
+    /// injected read address can launch in the same cycle.
     pub fn successors(
         &self,
-        state: &AState,
-    ) -> Result<(StepDetail, Vec<(AState, Choice)>), String> {
-        let fired = self.fired_slots(state);
-        let stuck = self.is_stuck(state, &fired);
-        if stuck {
-            return Ok((StepDetail { fired, stuck }, Vec::new()));
+        state: &[u8],
+        scratch: &mut Scratch,
+        mut visit: impl FnMut(&[u8], &Choice),
+    ) -> Result<bool, String> {
+        let Scratch {
+            fired,
+            base,
+            next,
+            choice,
+            forks,
+            sources,
+            retires,
+            indices,
+        } = scratch;
+        self.fired_slots(state, fired);
+        if self.is_stuck(state, fired) {
+            return Ok(true);
         }
 
-        // Fork dimensions: firing slots with a datapath predicate
-        // destination.
-        let fork_pes: Vec<usize> = fired
-            .iter()
-            .enumerate()
-            .filter_map(|(pe, slot)| {
-                slot.and_then(|s| self.pes[pe].effects[s].dst_pred.map(|_| pe))
-            })
-            .collect();
-
-        // Source-injection dimensions: destination space is judged
-        // after the PE phase (the only phase that can free it), which
-        // the fork choice cannot influence.
-        let after_pe = self.apply_pe_phase_only(state, &fired);
-        let mut source_dims: Vec<(usize, Vec<u8>)> = Vec::new();
-        for (li, link) in self.links.iter().enumerate() {
-            if link.src != SrcSlot::Source || link.alphabet.is_empty() {
+        // Phase 1: PEs fire (each touches only its own queues). The bit
+        // a datapath predicate destination writes is left clear here
+        // and set per choice.
+        base.clear();
+        base.extend_from_slice(state);
+        forks.clear();
+        let pred_mask = self.params.pred_mask();
+        for (pe, slot) in fired.iter().enumerate() {
+            let Some(slot) = *slot else { continue };
+            let eff = &self.pes[pe].effects[slot];
+            for &q in &eff.deq {
+                self.pop(base, q);
+            }
+            if let Some((q, tag)) = eff.out {
+                self.push(base, q, tag);
+            }
+            let mut bits = (self.preds(base, pe) & !eff.clear_mask) | eff.set_mask;
+            if let Some(p) = eff.dst_pred {
+                bits &= !(1 << p);
+                forks.push((pe, (1 << p) & pred_mask));
+            }
+            self.set_preds(base, pe, bits & pred_mask);
+            if eff.halt {
+                self.set_halted(base, pe);
+            }
+        }
+        // Phase 2: links transfer one token each. No two links share
+        // an endpoint, so their order is immaterial and the queue-fed
+        // ones can move before the per-choice injections.
+        for link in &self.links {
+            let SrcSlot::Queue(sq) = link.src else {
                 continue;
-            }
-            let has_space = match link.dst {
-                DstSlot::Queue(dq) => after_pe.queues[dq].len() < self.queues[dq].cap,
-                DstSlot::Counter(c) => (after_pe.counters[c] as usize) < self.counter_caps[c],
-                DstSlot::Sink => false,
             };
-            if has_space {
-                source_dims.push((li, link.alphabet.clone()));
+            if self.queue_len(base, sq) > 0 && self.has_space(base, link.dst) {
+                let tag = self.pop(base, sq);
+                self.deliver(base, link.dst, tag);
             }
         }
 
-        // Read-port retirement dimensions, judged after the link phase
-        // (which may drain the response queue). Injections never touch
-        // pending or response queues, so a choice-free link pass gives
-        // the right bounds.
-        let after_links = self.apply(state, &fired, &Choice::default());
-        let mut retire_dims: Vec<(usize, usize)> = Vec::new();
+        // Injection dimensions: destination space after the PE phase,
+        // the only phase that can free it (no queue-fed link reaches a
+        // source's destination).
+        sources.clear();
+        sources.extend((0..self.links.len()).filter(|&li| self.can_inject(base, &self.links[li])));
+        // Retirement dimensions: the loads in flight before the port
+        // phase (no earlier phase touches them), bounded by the
+        // response space the link phase left.
+        retires.clear();
         for (pi, port) in self.read_ports.iter().enumerate() {
-            // `after_links` already launched one request and committed
-            // zero retirements; recompute bounds from the pre-port
-            // picture instead: pending before the port phase is the
-            // PE/link-phase value, i.e. the original state's (links
-            // never touch pending).
-            let pending = state.queues[port.pending].len();
-            let resp_space = self.queues[port.resp].cap - after_links.queues[port.resp].len();
+            let pending = self.queue_len(state, port.pending);
+            let resp_space = self.queues[port.resp].cap - self.queue_len(base, port.resp);
             let max_retire = pending.min(resp_space);
             if max_retire > 0 {
-                retire_dims.push((pi, max_retire));
+                retires.push((pi, max_retire));
             }
         }
 
         // Choice product.
-        let mut branch = 1usize;
-        branch = branch.saturating_mul(1 << fork_pes.len());
-        for (_, alpha) in &source_dims {
-            branch = branch.saturating_mul(alpha.len() + 1);
-        }
-        for &(_, max) in &retire_dims {
-            branch = branch.saturating_mul(max + 1);
-        }
+        let radix = |pos: usize| {
+            if pos < forks.len() {
+                2
+            } else if pos < forks.len() + sources.len() {
+                self.links[sources[pos - forks.len()]].alphabet.len() + 1
+            } else {
+                retires[pos - forks.len() - sources.len()].1 + 1
+            }
+        };
+        let dims = forks.len() + sources.len() + retires.len();
+        let branch = (0..dims).fold(1usize, |b, pos| b.saturating_mul(radix(pos)));
         if branch > MAX_BRANCH {
             return Err(format!(
                 "abstract branching of {branch} exceeds the {MAX_BRANCH} cap"
             ));
         }
 
-        let mut out = Vec::with_capacity(branch);
-        let mut indices = vec![0usize; fork_pes.len() + source_dims.len() + retire_dims.len()];
+        indices.clear();
+        indices.resize(dims, 0);
         loop {
-            let mut choice = Choice::default();
+            next.clear();
+            next.extend_from_slice(base);
+            choice.forks.clear();
+            choice.injections.clear();
+            choice.retires.clear();
             let mut dim = 0;
-            for &pe in &fork_pes {
-                choice.forks.push((pe, indices[dim] == 1));
+            for &(pe, bit) in forks.iter() {
+                let value = indices[dim] == 1;
                 dim += 1;
+                choice.forks.push((pe, value));
+                if value {
+                    let bits = self.preds(next, pe) | bit;
+                    self.set_preds(next, pe, bits);
+                }
             }
-            for (li, alpha) in &source_dims {
+            for &li in sources.iter() {
                 let idx = indices[dim];
                 dim += 1;
                 if idx > 0 {
-                    choice.injections.push((*li, alpha[idx - 1]));
+                    let link = &self.links[li];
+                    let tag = link.alphabet[idx - 1];
+                    choice.injections.push((li, tag));
+                    self.deliver(next, link.dst, tag);
                 }
             }
-            for &(pi, _) in &retire_dims {
+            for &(pi, _) in retires.iter() {
                 let k = indices[dim];
                 dim += 1;
                 if k > 0 {
                     choice.retires.push((pi, k));
                 }
             }
-            out.push((self.apply(state, &fired, &choice), choice));
+            self.port_phase(next, &choice.retires);
+            visit(next, choice);
 
             // Advance the mixed-radix counter.
             let mut pos = 0;
             loop {
-                if pos == indices.len() {
-                    return Ok((StepDetail { fired, stuck }, out));
+                if pos == dims {
+                    return Ok(false);
                 }
-                let radix = if pos < fork_pes.len() {
-                    2
-                } else if pos < fork_pes.len() + source_dims.len() {
-                    source_dims[pos - fork_pes.len()].1.len() + 1
-                } else {
-                    retire_dims[pos - fork_pes.len() - source_dims.len()].1 + 1
-                };
                 indices[pos] += 1;
-                if indices[pos] < radix {
+                if indices[pos] < radix(pos) {
                     break;
                 }
                 indices[pos] = 0;
@@ -882,123 +996,83 @@ impl Model {
         }
     }
 
-    /// Applies only the PE phase (used to judge environment space).
-    fn apply_pe_phase_only(&self, state: &AState, fired: &[Option<usize>]) -> AState {
-        let mut next = state.clone();
-        for (pe, slot) in fired.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            let eff = &self.pes[pe].effects[*slot];
-            for &q in &eff.deq {
-                next.queues[q].remove(0);
+    /// Phase 3: read ports retire the chosen number of in-flight loads
+    /// (covering every latency), then launch one request; write ports
+    /// commit deterministically.
+    fn port_phase(&self, state: &mut [u8], retires: &[(usize, usize)]) {
+        for (pi, port) in self.read_ports.iter().enumerate() {
+            let k = retires
+                .iter()
+                .find(|&&(p, _)| p == pi)
+                .map_or(0, |&(_, k)| k);
+            for _ in 0..k {
+                let tag = self.pop(state, port.pending);
+                self.push(state, port.resp, tag);
             }
-            if let Some((q, tag)) = eff.out {
-                next.queues[q].push(tag);
+            if self.queue_len(state, port.addr) > 0
+                && self.queue_len(state, port.pending) < self.queues[port.pending].cap
+            {
+                let tag = self.pop(state, port.addr);
+                self.push(state, port.pending, tag);
             }
         }
-        next
+        for &(a, d) in &self.write_ports {
+            let (addrs, data) = (self.counter(state, a), self.counter(state, d));
+            if addrs > 0 && data > 0 {
+                self.set_counter(state, a, addrs - 1);
+                self.set_counter(state, d, data - 1);
+            }
+        }
+        for &d in &self.seq_ports {
+            let data = self.counter(state, d);
+            if data > 0 {
+                self.set_counter(state, d, data - 1);
+            }
+        }
     }
 
     /// Whether `state` is frozen forever: nothing can fire, move,
     /// retire or be injected. Matches the runtime watchdog's notion of
     /// a hang (modulo its finite observation window).
-    fn is_stuck(&self, state: &AState, fired: &[Option<usize>]) -> bool {
+    fn is_stuck(&self, state: &[u8], fired: &[Option<usize>]) -> bool {
         if fired.iter().any(Option::is_some) {
             return false;
         }
-        if state.halted.iter().all(|&h| h) {
+        if (0..self.pes.len()).all(|pe| self.halted(state, pe)) {
             // Every PE halted is the success fixed point, not a hang.
             return false;
         }
         for link in &self.links {
             let movable = match link.src {
                 SrcSlot::Queue(sq) => {
-                    !state.queues[sq].is_empty()
-                        && match link.dst {
-                            DstSlot::Queue(dq) => state.queues[dq].len() < self.queues[dq].cap,
-                            DstSlot::Counter(c) => {
-                                (state.counters[c] as usize) < self.counter_caps[c]
-                            }
-                            DstSlot::Sink => true,
-                        }
+                    self.queue_len(state, sq) > 0 && self.has_space(state, link.dst)
                 }
-                SrcSlot::Source => {
-                    !link.alphabet.is_empty()
-                        && match link.dst {
-                            DstSlot::Queue(dq) => state.queues[dq].len() < self.queues[dq].cap,
-                            DstSlot::Counter(c) => {
-                                (state.counters[c] as usize) < self.counter_caps[c]
-                            }
-                            DstSlot::Sink => false,
-                        }
-                }
+                SrcSlot::Source => self.can_inject(state, link),
             };
             if movable {
                 return false;
             }
         }
         for port in &self.read_ports {
-            let pending = state.queues[port.pending].len();
-            if pending > 0 && state.queues[port.resp].len() < self.queues[port.resp].cap {
+            let pending = self.queue_len(state, port.pending);
+            if pending > 0 && self.queue_len(state, port.resp) < self.queues[port.resp].cap {
                 return false;
             }
-            if !state.queues[port.addr].is_empty() && pending < self.queues[port.pending].cap {
+            if self.queue_len(state, port.addr) > 0 && pending < self.queues[port.pending].cap {
                 return false;
             }
         }
         for &(a, d) in &self.write_ports {
-            if state.counters[a] > 0 && state.counters[d] > 0 {
+            if self.counter(state, a) > 0 && self.counter(state, d) > 0 {
                 return false;
             }
         }
         for &d in &self.seq_ports {
-            if state.counters[d] > 0 {
+            if self.counter(state, d) > 0 {
                 return false;
             }
         }
         true
-    }
-
-    /// Canonical byte encoding for the dedup set.
-    pub fn encode(&self, state: &AState) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(
-            self.pes.len() * 3 + self.queues.len() * 2 + state.tokens() + self.counter_caps.len(),
-        );
-        for pe in 0..self.pes.len() {
-            bytes.extend_from_slice(&(state.preds[pe] as u16).to_le_bytes());
-            bytes.push(u8::from(state.halted[pe]));
-        }
-        for q in &state.queues {
-            bytes.push(q.len() as u8);
-            bytes.extend_from_slice(q);
-        }
-        bytes.extend_from_slice(&state.counters);
-        bytes
-    }
-
-    /// Decodes [`Model::encode`] output.
-    pub fn decode(&self, bytes: &[u8]) -> AState {
-        let mut preds = Vec::with_capacity(self.pes.len());
-        let mut halted = Vec::with_capacity(self.pes.len());
-        let mut at = 0usize;
-        for _ in 0..self.pes.len() {
-            preds.push(u32::from(u16::from_le_bytes([bytes[at], bytes[at + 1]])));
-            halted.push(bytes[at + 2] != 0);
-            at += 3;
-        }
-        let mut queues = Vec::with_capacity(self.queues.len());
-        for _ in 0..self.queues.len() {
-            let len = bytes[at] as usize;
-            at += 1;
-            queues.push(bytes[at..at + len].to_vec());
-            at += len;
-        }
-        let counters = bytes[at..].to_vec();
-        AState {
-            preds,
-            halted,
-            queues,
-            counters,
-        }
     }
 
     /// Emitted-tag / accepted-tag mismatches per PE-consumed channel:

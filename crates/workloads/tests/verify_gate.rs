@@ -42,6 +42,64 @@ fn allowed(workload: &str, check: Check) -> bool {
     ALLOWLIST.iter().any(|&(w, c)| w == workload && c == check)
 }
 
+/// What one workload's exploration produced at the gate's bound:
+/// `(workload, states, transitions, exhaustive, findings)`, where each
+/// finding is its check name plus the FNV-1a digest of its
+/// counterexample trace's JSON (0 when it carries none), sorted.
+/// These pin the explorer's output — BFS order, successor order,
+/// dedup and the state-cap semantics — so any rewrite of it must
+/// reproduce every count and every counterexample byte for byte.
+type Pinned = (
+    &'static str,
+    usize,
+    usize,
+    bool,
+    &'static [(&'static str, u64)],
+);
+
+const PINNED: &[Pinned] = &[
+    ("gcd", 23, 30, true, &[]),
+    ("mean", 18, 22, true, &[]),
+    (
+        "stream",
+        91,
+        111,
+        true,
+        &[("fabric-deadlock", 6475358304227315495)],
+    ),
+    ("arg_max", 13273, 60591, true, &[]),
+    ("string_search", 65549, 205993, false, &[]),
+    (
+        "udiv",
+        41245,
+        180030,
+        true,
+        &[("fabric-deadlock", 2775028827647839489)],
+    ),
+    ("bst", 718, 1983, true, &[]),
+    (
+        "filter",
+        65568,
+        334988,
+        false,
+        &[("fabric-deadlock", 13604257010606307881)],
+    ),
+    ("merge", 65538, 372917, false, &[]),
+    (
+        "dot_product",
+        65552,
+        456923,
+        false,
+        &[("fabric-deadlock", 7795111873040089338)],
+    ),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
 fn all_workloads_verify_deadlock_free() {
     let params = Params::default();
@@ -85,6 +143,32 @@ fn all_workloads_verify_deadlock_free() {
 
         let links = built.system.links().to_vec();
         let report = verify_system(&programs, &params, &links, &options);
+
+        let mut findings: Vec<(&str, u64)> = report
+            .findings
+            .iter()
+            .map(|f| {
+                let digest = f.trace.as_ref().map_or(0, |t| {
+                    fnv1a(serde_json::to_string(&t.to_value()).unwrap().as_bytes())
+                });
+                (f.check.name(), digest)
+            })
+            .collect();
+        findings.sort_unstable();
+        let got = (
+            kind.name(),
+            report.states,
+            report.transitions,
+            report.exhaustive,
+            findings.as_slice(),
+        );
+        match PINNED.iter().find(|p| p.0 == kind.name()) {
+            Some(pinned) if *pinned == got => {}
+            Some(pinned) => failures.push(format!(
+                "{kind}: exploration output changed: pinned {pinned:?}, got {got:?}"
+            )),
+            None => failures.push(format!("{kind}: no pinned exploration output")),
+        }
 
         if !report.exhaustive && !INCONCLUSIVE_ALLOWLIST.contains(&kind.name()) {
             failures.push(format!("{kind}: {}", report.verdict()));
