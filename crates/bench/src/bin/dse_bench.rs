@@ -7,10 +7,8 @@
 //! effectiveness counters (cycles bulk-skipped, idle-horizon probe hit
 //! rate) for every configuration.
 //!
-//! Also A/B-times the compiled trigger engine (`tia-jit`, on vs off)
-//! over the same sweep, recording compiled vs interpreted throughput
-//! per configuration, and reports per-worker scheduler utilization for
-//! every parallel run.
+//! Also reports per-worker scheduler utilization for every parallel
+//! run.
 //!
 //! Finally, A/B-times the content-addressed measurement store
 //! (`tia-store`) over the same sweep: a cold sweep that simulates and
@@ -19,18 +17,14 @@
 //!
 //! ```text
 //! cargo run --release -p tia-bench --bin dse_bench \
-//!     [--test-scale] [--assert-fast-forward] [--assert-jit-speedup] \
-//!     [--assert-store] [-o BENCH_dse.json]
+//!     [--test-scale] [--assert-fast-forward] [--assert-store] \
+//!     [-o BENCH_dse.json]
 //! ```
 //!
 //! `--assert-fast-forward` turns the recorded comparison into a gate:
 //! the process exits nonzero unless the fast-forward sweep is
 //! bit-identical to the baseline and no more than 10% slower (CI runs
 //! this at test scale as a regression smoke test).
-//! `--assert-jit-speedup` gates the compiled trigger engine the same
-//! way: bit-identical and no more than 5% slower than the interpreter
-//! (at test scale the engine's advantage is noise-bounded; the real
-//! speedup is recorded at paper scale in `BENCH_dse.json`).
 //! `--assert-store` gates the measurement store: the warm sweep must
 //! simulate nothing, return bit-identical points, and not be slower
 //! than the cold sweep.
@@ -91,32 +85,6 @@ struct FastForwardRun {
     per_config: Vec<ConfigFastForward>,
 }
 
-/// Compiled-vs-interpreted throughput for one configuration's
-/// activity run.
-#[derive(serde::Serialize)]
-struct ConfigJit {
-    config: String,
-    cycles: u64,
-    compiled_seconds: f64,
-    interpreted_seconds: f64,
-    compiled_cycles_per_second: f64,
-    interpreted_cycles_per_second: f64,
-    speedup: f64,
-}
-
-#[derive(serde::Serialize)]
-struct JitRun {
-    enabled_seconds: f64,
-    disabled_seconds: f64,
-    speedup: f64,
-    enabled_cycles_per_second: f64,
-    disabled_cycles_per_second: f64,
-    bit_identical: bool,
-    /// Per-configuration compiled vs interpreted throughput, in sweep
-    /// order.
-    per_config: Vec<ConfigJit>,
-}
-
 /// Cold-vs-warm timing of the content-addressed measurement store
 /// over the same sweep.
 #[derive(serde::Serialize)]
@@ -145,7 +113,6 @@ struct Report {
     cycles_per_second: f64,
     parallel: Vec<ParallelRun>,
     fast_forward: FastForwardRun,
-    jit: JitRun,
     store: StoreRun,
     bit_identical: bool,
     note: String,
@@ -155,7 +122,6 @@ fn main() {
     let scale = scale_from_args();
     let args: Vec<String> = std::env::args().collect();
     let assert_fast_forward = args.iter().any(|a| a == "--assert-fast-forward");
-    let assert_jit_speedup = args.iter().any(|a| a == "--assert-jit-speedup");
     let assert_store = args.iter().any(|a| a == "--assert-store");
     let output = args
         .iter()
@@ -272,74 +238,6 @@ fn main() {
     );
     bit_identical &= fast_forward.bit_identical;
 
-    // A/B the compiled trigger engine (`tia-jit`) over the serial
-    // sweep. PEs read TIA_JIT at construction and
-    // `run_uarch_workload` builds fresh PEs per measurement, so
-    // flipping the environment variable retimes the same workloads
-    // under the other engine. Per-configuration wall clock is captured
-    // inside the source so compiled vs interpreted throughput can be
-    // compared config by config.
-    let jit_times: Mutex<Vec<(String, u64, f64)>> = Mutex::new(Vec::new());
-    let mut timed_measure = |config: &UarchConfig| {
-        let start = Instant::now();
-        let run = run_uarch_workload(WorkloadKind::Bst, *config, scale);
-        jit_times.lock().expect("no poisoned times").push((
-            config.to_string(),
-            run.system_cycles,
-            start.elapsed().as_secs_f64(),
-        ));
-        activity_of(&run)
-    };
-    let prior = std::env::var("TIA_JIT").ok();
-    std::env::set_var("TIA_JIT", "1");
-    let start = Instant::now();
-    let jit_on = explore(&mut timed_measure);
-    let jit_enabled_seconds = start.elapsed().as_secs_f64();
-    let rows_on = std::mem::take(&mut *jit_times.lock().expect("no poisoned times"));
-    std::env::set_var("TIA_JIT", "0");
-    let start = Instant::now();
-    let jit_off = explore(&mut timed_measure);
-    let jit_disabled_seconds = start.elapsed().as_secs_f64();
-    let rows_off = std::mem::take(&mut *jit_times.lock().expect("no poisoned times"));
-    match prior {
-        Some(value) => std::env::set_var("TIA_JIT", value),
-        None => std::env::remove_var("TIA_JIT"),
-    }
-    let per_config: Vec<ConfigJit> = rows_on
-        .into_iter()
-        .zip(rows_off)
-        .map(
-            |((config, cycles, on_s), (config_off, cycles_off, off_s))| {
-                assert_eq!(config, config_off, "sweep orders must match");
-                assert_eq!(cycles, cycles_off, "simulated cycles must match");
-                ConfigJit {
-                    config,
-                    cycles,
-                    compiled_seconds: on_s,
-                    interpreted_seconds: off_s,
-                    compiled_cycles_per_second: cycles as f64 / on_s.max(f64::EPSILON),
-                    interpreted_cycles_per_second: cycles as f64 / off_s.max(f64::EPSILON),
-                    speedup: off_s / on_s.max(f64::EPSILON),
-                }
-            },
-        )
-        .collect();
-    let jit = JitRun {
-        enabled_seconds: jit_enabled_seconds,
-        disabled_seconds: jit_disabled_seconds,
-        speedup: jit_disabled_seconds / jit_enabled_seconds,
-        enabled_cycles_per_second: simulated_cycles as f64 / jit_enabled_seconds,
-        disabled_cycles_per_second: simulated_cycles as f64 / jit_disabled_seconds,
-        bit_identical: jit_on == serial && jit_off == serial,
-        per_config,
-    };
-    eprintln!(
-        "jit on {jit_enabled_seconds:.2}s vs off {jit_disabled_seconds:.2}s \
-         ({:.2}x, bit_identical = {})",
-        jit.speedup, jit.bit_identical
-    );
-    bit_identical &= jit.bit_identical;
-
     // Cold vs warm A/B of the content-addressed measurement store
     // over the same serial sweep: the cold pass simulates and persists
     // every point, the warm pass reopens the file and answers every
@@ -385,7 +283,6 @@ fn main() {
         cycles_per_second: simulated_cycles as f64 / serial_seconds,
         parallel,
         fast_forward,
-        jit,
         store,
         bit_identical,
         note: "Speedups are bounded by the measuring host's core count \
@@ -394,8 +291,7 @@ fn main() {
                engine overhead, not scaling (worker_utilization shows \
                the scheduler's balance independently of core count). \
                The fast_forward block A/B-times the quiescence-aware \
-               fast-forward engine, the jit block the compiled trigger \
-               engine (tia-jit), and the store block the \
+               fast-forward engine and the store block the \
                content-addressed measurement store (tia-store, cold \
                fill vs fully warm lookups), over the identical serial \
                sweep."
@@ -412,7 +308,7 @@ fn main() {
         report.bit_identical,
         "parallel or fast-forward exploration diverged from serial"
     );
-    // Both timing gates carry a small absolute slack on top of the
+    // The timing gates carry a small absolute slack on top of the
     // relative margin: at test scale a whole sweep takes tens of
     // milliseconds, where scheduler jitter alone exceeds any
     // percentage bound. The slack is negligible at paper scale, so
@@ -426,19 +322,6 @@ fn main() {
              ({:.3}s vs {:.3}s)",
             report.fast_forward.enabled_seconds,
             report.fast_forward.disabled_seconds,
-        );
-    }
-    if assert_jit_speedup {
-        assert!(
-            report.jit.bit_identical,
-            "compiled trigger engine diverged from the interpreter"
-        );
-        assert!(
-            report.jit.enabled_seconds <= report.jit.disabled_seconds * 1.05 + GATE_SLACK_SECONDS,
-            "compiled trigger engine is more than 5% slower than the \
-             interpreter ({:.3}s vs {:.3}s)",
-            report.jit.enabled_seconds,
-            report.jit.disabled_seconds,
         );
     }
     if assert_store {

@@ -138,16 +138,11 @@ pub fn suite_activity_source(scale: Scale) -> impl Fn(&UarchConfig) -> CpiMeasur
 ///
 /// Also honours `--no-fast-forward`, which disables the fabric's
 /// fast-forward engine for the whole process (every `System` built
-/// afterwards reads the `TIA_FAST_FORWARD` environment variable), and
-/// `--no-jit`, which likewise disables the compiled trigger engine
-/// (every PE built afterwards reads `TIA_JIT`), so each figure/table
-/// binary can be A/B-compared without code changes.
+/// afterwards reads the `TIA_FAST_FORWARD` environment variable), so
+/// each figure/table binary can be A/B-compared without code changes.
 pub fn scale_from_args() -> Scale {
     if std::env::args().any(|a| a == "--no-fast-forward") {
         std::env::set_var("TIA_FAST_FORWARD", "0");
-    }
-    if std::env::args().any(|a| a == "--no-jit") {
-        std::env::set_var("TIA_JIT", "0");
     }
     if std::env::args().any(|a| a == "--test-scale") {
         Scale::Test

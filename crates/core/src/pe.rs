@@ -35,7 +35,7 @@ use tia_isa::{
     alu, DstOperand, Instruction, IsaError, Op, Params, PredId, PredState, Program, SrcOperand,
     Word, NUM_SRCS,
 };
-use tia_jit::CompiledProgram;
+use tia_jit::{CompiledProgram, CompiledSlot};
 use tia_trace::{
     ChannelPressure, EventKind, NullTracer, ProfCounters, ProfileSource, QueueDir, StallClass,
     StallInsight, Tracer,
@@ -85,83 +85,23 @@ enum SlotStatus {
     NotReady,
 }
 
-/// Trigger-stage facts about one slot that never change after program
-/// load, precomputed so the per-cycle scan touches a flat array
-/// instead of chasing into the [`Instruction`].
+/// The PE's one idle key, latched after a *pure* stall: a step that
+/// started with an empty pipeline and issued nothing, so no
+/// architectural state changed during it. The trigger scan is a pure
+/// function of the predicate state and the queue contents while the
+/// pipeline is empty (an empty pipeline also pins the speculation
+/// stack and the register interlock), so while both still match the
+/// key every further step repeats the same classified stall. The
+/// trigger stage replays `class` on a match, and the fast-forward
+/// engine ([`ProcessingElement::next_event_cycle`]) bulk-skips such
+/// steps. Derived-only: never snapshotted, cleared on restore.
 #[derive(Debug, Clone, Copy)]
-struct SlotGate {
-    /// The slot's valid bit.
-    valid: bool,
-    /// The trigger's predicate pattern.
-    pattern: tia_isa::PredPattern,
-    /// Every predicate bit the slot reads in its trigger or writes
-    /// (trigger-encoded update or datapath destination) — the §5.1
-    /// hazard footprint.
-    touched: u32,
-}
-
-/// One slot's memoized trigger-readiness (§5.4 fast path): the status
-/// from the last evaluation plus the dirty-tracking keys that decide
-/// whether it is still current.
-///
-/// * The **predicate key** (`preds_bits`, `pending_masked`) captures
-///   everything a *predicate-rejected* slot read: the architectural
-///   predicate state and the in-flight predicate writes overlapping
-///   the slot's footprint. Most slots in a large trigger program fail
-///   here, so they are revalidated by two word compares — no queue or
-///   in-flight state is consulted.
-/// * Statuses that consulted queue occupancies, tag checks, in-flight
-///   accounting or the register interlock are `queue_dependent`: they
-///   additionally require the PE's [`UarchPe::queue_epoch`] to be
-///   unchanged, which holds only across cycles with an idle pipeline
-///   and no queue traffic (internal or from the fabric).
-#[derive(Debug, Clone, Copy)]
-struct SlotCacheEntry {
-    status: SlotStatus,
-    preds_bits: u32,
-    pending_masked: u32,
-    queue_epoch: u64,
-    queue_dependent: bool,
-    valid: bool,
-}
-
-impl SlotCacheEntry {
-    fn invalid() -> Self {
-        SlotCacheEntry {
-            status: SlotStatus::NotReady,
-            preds_bits: 0,
-            pending_masked: 0,
-            queue_epoch: 0,
-            queue_dependent: false,
-            valid: false,
-        }
-    }
-}
-
-/// A one-entry memo over the *whole* trigger scan: when the pipeline
-/// is empty, a stall outcome is a pure function of the predicate state
-/// and the queue epoch, so a repeat of both keys must repeat the same
-/// classified stall — no per-slot work at all. Subsumes the per-slot
-/// readiness cache on idle stretches (the common case in
-/// memory-latency-bound sweeps) while the per-slot cache still serves
-/// partial invalidations.
-#[derive(Debug, Clone, Copy)]
-struct ScanMemo {
-    valid: bool,
-    preds_bits: u32,
-    queue_epoch: u64,
+struct IdleKey {
     class: CycleClass,
-}
-
-impl ScanMemo {
-    fn invalid() -> Self {
-        ScanMemo {
-            valid: false,
-            preds_bits: 0,
-            queue_epoch: 0,
-            class: CycleClass::NotTriggered,
-        }
-    }
+    preds: u32,
+    /// [`UarchPe::queue_version_sum`] at the latch; any push, pop or
+    /// clear of any queue since changes it.
+    queue_versions: u64,
 }
 
 /// A cycle-level triggered PE running one of the 32 microarchitecture
@@ -220,43 +160,14 @@ pub struct UarchPe<T: Tracer = NullTracer> {
     trace: Option<Vec<u16>>,
     pe_id: u16,
     tracer: T,
-    /// Per-slot static trigger facts (see [`SlotGate`]).
-    slot_gates: Vec<SlotGate>,
-    /// Per-slot memoized readiness (see [`SlotCacheEntry`]).
-    slot_cache: Vec<SlotCacheEntry>,
-    /// Generation counter over every queue-or-pipeline-visible state:
-    /// bumped after any cycle that had work in flight and whenever
-    /// queue traffic (internal or external) is detected, invalidating
-    /// `queue_dependent` cache entries.
-    queue_epoch: u64,
-    /// Last observed sum of all queue modification counters, for
-    /// detecting fabric pushes/pops between cycles.
-    queue_fingerprint: u64,
-    /// Whether the memoized trigger fast path is consulted (on by
-    /// default; [`UarchPe::set_trigger_cache`] disables it for A/B
-    /// benchmarking and differential testing).
-    trigger_cache_enabled: bool,
-    /// The stall class of the last step, recorded only when that step
-    /// was a *pure* stall — no work in flight at its start and nothing
-    /// issued — so the whole architectural state provably did not
-    /// change during it. Together with an unchanged queue-version
-    /// fingerprint this proves the next step would repeat the same
-    /// stall, which is what the fast-forward engine
-    /// ([`ProcessingElement::next_event_cycle`]) keys on.
-    /// Non-architectural: never snapshotted, cleared on restore.
-    last_stall: Option<CycleClass>,
     /// The program's guards compiled to flat masks and a
-    /// predicate-state dispatch table (see [`tia_jit`]). Shared,
-    /// immutable, derived-only: rebuilt at construction, never
-    /// snapshotted.
+    /// predicate-state dispatch table (see [`tia_jit`]): the trigger
+    /// stage's only evaluator. Shared, immutable, derived-only:
+    /// rebuilt at construction, never snapshotted.
     compiled: Arc<CompiledProgram>,
-    /// Whether the compiled trigger engine drives the per-cycle scan
-    /// (`TIA_JIT`, default on; [`UarchPe::set_jit`]). Architecturally
-    /// transparent either way; debug builds cross-check every compiled
-    /// scan against the interpreted one.
-    jit_enabled: bool,
-    /// The whole-scan stall memo (see [`ScanMemo`]). Derived-only.
-    scan_memo: ScanMemo,
+    /// The latched pure stall, if the last step was one (see
+    /// [`IdleKey`]).
+    idle: Option<IdleKey>,
     /// Per-input-queue in-flight dequeues not yet executed, hoisted
     /// once per trigger phase instead of recounted per slot. Valid
     /// only during the trigger scan of the current cycle.
@@ -294,16 +205,6 @@ impl<T: Tracer> UarchPe<T> {
     ) -> Result<Self, IsaError> {
         params.validate()?;
         program.validate(params)?;
-        let slot_gates: Vec<SlotGate> = program
-            .instructions()
-            .iter()
-            .map(|i| SlotGate {
-                valid: i.valid,
-                pattern: i.trigger.predicates,
-                touched: i.trigger.predicates.read_set() | i.predicate_write_set(),
-            })
-            .collect();
-        let slot_cache = vec![SlotCacheEntry::invalid(); slot_gates.len()];
         let compiled = Arc::new(CompiledProgram::compile(&program, params));
         Ok(UarchPe {
             regs: vec![0; params.num_regs],
@@ -339,47 +240,11 @@ impl<T: Tracer> UarchPe<T> {
             params: params.clone(),
             config,
             program: Arc::new(program),
-            slot_gates,
-            slot_cache,
-            queue_epoch: 0,
-            queue_fingerprint: 0,
-            trigger_cache_enabled: true,
-            last_stall: None,
             compiled,
-            jit_enabled: tia_jit::jit_from_env(),
-            scan_memo: ScanMemo::invalid(),
+            idle: None,
             pending_deq: [0; 16],
             pending_enq: [0; 16],
         })
-    }
-
-    /// Enables (or disables) the memoized trigger-readiness fast path.
-    /// On by default; disabling forces full re-evaluation of every
-    /// slot every cycle — architecturally identical by construction
-    /// (debug builds assert agreement on every cache hit), useful for
-    /// A/B benchmarking and differential tests.
-    pub fn set_trigger_cache(&mut self, enable: bool) {
-        self.trigger_cache_enabled = enable;
-        for entry in &mut self.slot_cache {
-            *entry = SlotCacheEntry::invalid();
-        }
-    }
-
-    /// Enables (or disables) the compiled trigger engine: the
-    /// predicate-state dispatch table and the whole-scan stall memo
-    /// (see [`tia_jit`]). On by default (`TIA_JIT=0` in the
-    /// environment disables it at construction). Architecturally
-    /// transparent either way — counters, traces and snapshots are
-    /// bit-identical, and debug builds cross-check every compiled scan
-    /// against the interpreted one.
-    pub fn set_jit(&mut self, enable: bool) {
-        self.jit_enabled = enable;
-        self.scan_memo = ScanMemo::invalid();
-    }
-
-    /// Whether the compiled trigger engine is active.
-    pub fn jit_enabled(&self) -> bool {
-        self.jit_enabled
     }
 
     /// Sets the PE id stamped on every emitted trace event (defaults
@@ -489,14 +354,18 @@ impl<T: Tracer> UarchPe<T> {
         let class = self.trigger_phase();
         self.decode_phase();
         self.commit_phase();
-        // Any cycle with work in flight (pre-existing or just issued)
-        // may have moved queue/in-flight/speculation state in its
-        // decode and commit phases — and the register interlock is
-        // time-dependent while instructions are in flight — so
-        // queue-dependent cached trigger statuses from this cycle must
-        // not survive into the next.
+        // A pure stall (empty pipeline in, nothing issued) leaves every
+        // architectural observable untouched: the next step repeats it
+        // unless fabric traffic lands on a queue first. Latch the idle
+        // key; a key the trigger stage just matched is still current.
         if busy || class == CycleClass::Issued {
-            self.queue_epoch += 1;
+            self.idle = None;
+        } else if self.idle.is_none() {
+            self.idle = Some(IdleKey {
+                class,
+                preds: self.preds.bits(),
+                queue_versions: self.queue_version_sum(),
+            });
         }
         match class {
             CycleClass::Issued => {}
@@ -505,15 +374,6 @@ impl<T: Tracer> UarchPe<T> {
             CycleClass::DataHazard => self.counters.data_hazard_cycles += 1,
             CycleClass::NotTriggered => self.counters.not_triggered_cycles += 1,
         }
-        // A pure stall (empty pipeline in, nothing issued) leaves every
-        // architectural observable untouched: the next step repeats it
-        // unless fabric traffic lands on a queue first. Latch the class
-        // so the fast-forward engine can bulk-replay such cycles.
-        self.last_stall = if !busy && class != CycleClass::Issued {
-            Some(class)
-        } else {
-            None
-        };
         if T::ENABLED {
             let stall = match class {
                 CycleClass::Issued => None,
@@ -861,14 +721,16 @@ impl<T: Tracer> UarchPe<T> {
         let mut deq = [0u8; 16];
         let mut enq = [0u8; 16];
         for f in &self.in_flight {
-            let instruction = &self.program.instructions()[f.slot];
+            let c = self.compiled.slot(f.slot);
             if !f.d_done {
-                for q in &instruction.dequeues {
-                    deq[q.index()] += 1;
+                let mut mask = c.deq_mask;
+                while mask != 0 {
+                    deq[mask.trailing_zeros() as usize] += 1;
+                    mask &= mask - 1;
                 }
             }
-            if let Some(q) = instruction.enqueues() {
-                enq[q.index()] += 1;
+            if let Some(q) = c.out_queue {
+                enq[q as usize] += 1;
             }
         }
         self.pending_deq = deq;
@@ -896,25 +758,17 @@ impl<T: Tracer> UarchPe<T> {
     }
 
     /// Evaluates the §5.3 queue-side trigger conditions for one
-    /// instruction: input availability, tag checks, dequeue
+    /// compiled slot: input availability, tag checks, dequeue
     /// availability, output capacity. Returns `(conservative,
     /// effective)` eligibility — the scheduler uses the first without
     /// +Q and the second with it; comparing them classifies
     /// conservative stalls.
-    fn queue_conditions(&self, instruction: &Instruction) -> (bool, bool) {
+    fn queue_conditions(&self, c: &CompiledSlot) -> (bool, bool) {
         let mut conservative = true;
         let mut effective = true;
 
         // A queue read (operand or dequeue) needs an available token.
-        // Queue indices are bounded at 16 (`Params::validate`), so a
-        // word of bits dedups the read set without allocating.
-        let mut need_mask: u32 = 0;
-        for q in instruction.input_operands() {
-            need_mask |= 1 << q.index();
-        }
-        for q in &instruction.dequeues {
-            need_mask |= 1 << q.index();
-        }
+        let mut need_mask = c.need_mask;
         while need_mask != 0 {
             let q = need_mask.trailing_zeros() as usize;
             need_mask &= need_mask - 1;
@@ -932,8 +786,8 @@ impl<T: Tracer> UarchPe<T> {
 
         // Tag checks peek past in-flight dequeues with +Q ("the head
         // and neck").
-        for check in &instruction.trigger.queue_checks {
-            let q = check.queue.index();
+        for check in &c.checks {
+            let q = check.queue as usize;
             let pending = self.pending_dequeues(q);
             // Conservative view: only a pending-free head counts.
             match self.inputs[q].peek() {
@@ -957,8 +811,8 @@ impl<T: Tracer> UarchPe<T> {
         }
 
         // Output capacity.
-        if let Some(q) = instruction.enqueues() {
-            let q = q.index();
+        if let Some(q) = c.out_queue {
+            let q = q as usize;
             let occupancy = self.outputs[q].occupancy();
             let pending = self.pending_enqueues(q);
             if self.config.padded_output_queues {
@@ -1005,15 +859,12 @@ impl<T: Tracer> UarchPe<T> {
 
     /// Evaluates one instruction slot's issue status against current
     /// state, consulting queue/in-flight/speculation state only when
-    /// the predicate gate passes. Returns the status and whether that
-    /// queue-side state was consulted (the dirty-tracking class of the
-    /// result — see [`SlotCacheEntry`]).
-    fn compute_slot_status(&self, slot: usize, pending_preds: u32) -> (SlotStatus, bool) {
-        let gate = self.slot_gates[slot];
-        if !gate.valid {
-            return (SlotStatus::NotReady, false);
+    /// the predicate guard passes.
+    fn slot_status(&self, slot: usize, pending_preds: u32) -> SlotStatus {
+        let c = self.compiled.slot(slot);
+        if !c.valid {
+            return SlotStatus::NotReady;
         }
-        let pattern = gate.pattern;
 
         // Predicate readiness.
         let pred_blocked = if self.config.predicate_prediction {
@@ -1021,36 +872,34 @@ impl<T: Tracer> UarchPe<T> {
             // become forbidden-instruction restrictions instead.
             false
         } else {
-            gate.touched & pending_preds != 0
+            c.pred_footprint & pending_preds != 0
         };
 
         if pred_blocked {
             // Would the pattern match, for every possible resolution
             // of the pending bits?
-            let stable_on = pattern.on_set() & !pending_preds;
-            let stable_off = pattern.off_set() & !pending_preds;
+            let stable_on = c.on_set & !pending_preds;
+            let stable_off = c.off_set & !pending_preds;
             let stable_match = (self.preds.bits() & stable_on) == stable_on
                 && (self.preds.bits() & stable_off) == 0;
             if !stable_match {
-                return (SlotStatus::NotReady, false);
+                return SlotStatus::NotReady;
             }
             // Count it as a predicate hazard only if the rest of the
             // trigger could plausibly fire once the bits resolve.
-            let instruction = self.instruction(slot);
-            let (_, queue_effective) = self.queue_conditions(instruction);
-            let status = if queue_effective && !self.register_interlock(instruction) {
+            let (_, queue_effective) = self.queue_conditions(c);
+            return if queue_effective && !self.register_interlock(self.instruction(slot)) {
                 SlotStatus::BlockedPred
             } else {
                 SlotStatus::NotReady
             };
-            return (status, true);
         }
-        if !pattern.matches(self.preds) {
-            return (SlotStatus::NotReady, false);
+        if !c.pred_matches(self.preds.bits()) {
+            return SlotStatus::NotReady;
         }
 
         let instruction = self.instruction(slot);
-        let (queue_conservative, queue_effective) = self.queue_conditions(instruction);
+        let (queue_conservative, queue_effective) = self.queue_conditions(c);
         let queue_ok = if self.config.effective_queue_status {
             queue_effective
         } else {
@@ -1066,78 +915,24 @@ impl<T: Tracer> UarchPe<T> {
             crate::spec_rules::forbidden(instruction, &self.config, self.spec_stack.len());
 
         if forbidden {
-            let status = if queue_effective && !data_blocked {
+            return if queue_effective && !data_blocked {
                 SlotStatus::BlockedForbidden
             } else {
                 SlotStatus::NotReady
             };
-            return (status, true);
         }
         if !queue_ok {
-            let status = if queue_effective {
+            return if queue_effective {
                 // Only the conservative accounting blocks it.
                 SlotStatus::BlockedQueueConservative
             } else {
                 SlotStatus::NotReady
             };
-            return (status, true);
         }
         if data_blocked {
-            return (SlotStatus::BlockedData, true);
+            return SlotStatus::BlockedData;
         }
-        (SlotStatus::Eligible, true)
-    }
-
-    /// One slot's status through the memoized fast path: reuse the
-    /// last evaluation when its dirty-tracking keys show the inputs
-    /// unchanged, otherwise re-evaluate and refresh the cache. In
-    /// debug builds every cache hit is cross-checked against full
-    /// re-evaluation.
-    fn slot_status_fast(&mut self, slot: usize, pending_preds: u32) -> SlotStatus {
-        if self.trigger_cache_enabled {
-            let entry = self.slot_cache[slot];
-            if entry.valid
-                && entry.preds_bits == self.preds.bits()
-                && entry.pending_masked == (pending_preds & self.slot_gates[slot].touched)
-                && (!entry.queue_dependent || entry.queue_epoch == self.queue_epoch)
-            {
-                #[cfg(debug_assertions)]
-                {
-                    let (fresh, _) = self.compute_slot_status(slot, pending_preds);
-                    debug_assert_eq!(
-                        fresh, entry.status,
-                        "trigger fast path diverges from full re-evaluation at slot {slot}"
-                    );
-                }
-                return entry.status;
-            }
-        }
-        let (status, queue_dependent) = self.compute_slot_status(slot, pending_preds);
-        // A queue-dependent entry cannot hit while work is in flight —
-        // the epoch is bumped at the end of every busy cycle — so
-        // storing one would be pure overhead on a saturated PE.
-        if self.trigger_cache_enabled && (!queue_dependent || self.in_flight.is_empty()) {
-            self.slot_cache[slot] = SlotCacheEntry {
-                status,
-                preds_bits: self.preds.bits(),
-                pending_masked: pending_preds & self.slot_gates[slot].touched,
-                queue_epoch: self.queue_epoch,
-                queue_dependent,
-                valid: true,
-            };
-        }
-        status
-    }
-
-    /// Detects queue traffic (from the fabric or any external driver)
-    /// since the last trigger evaluation and advances the queue epoch
-    /// accordingly.
-    fn refresh_queue_epoch(&mut self) {
-        let fingerprint = self.queue_version_sum();
-        if fingerprint != self.queue_fingerprint {
-            self.queue_fingerprint = fingerprint;
-            self.queue_epoch += 1;
-        }
+        SlotStatus::Eligible
     }
 
     /// Stall-class priority rank (pred > forbidden > data).
@@ -1167,7 +962,7 @@ impl<T: Tracer> UarchPe<T> {
     fn scan_slots(&mut self, slots: impl Iterator<Item = usize>, pending_preds: u32) -> CycleClass {
         let mut best_rank = 0u8;
         for slot in slots {
-            let status = self.slot_status_fast(slot, pending_preds);
+            let status = self.slot_status(slot, pending_preds);
             if status == SlotStatus::Eligible {
                 self.issue(slot);
                 return CycleClass::Issued;
@@ -1177,14 +972,15 @@ impl<T: Tracer> UarchPe<T> {
         Self::rank_class(best_rank)
     }
 
-    /// Side-effect-free full interpreted scan, for debug cross-checks
-    /// of the compiled paths: the slot that would issue (if any) and
-    /// the best stall rank among the slots before it.
+    /// Side-effect-free full scan over every slot, for debug
+    /// cross-checks of the dispatch-table scan and the idle key: the
+    /// slot that would issue (if any) and the best stall rank among
+    /// the slots before it.
     #[cfg(debug_assertions)]
     fn debug_reference_scan(&self, pending_preds: u32) -> (Option<usize>, u8) {
         let mut best_rank = 0u8;
         for slot in 0..self.program.len() {
-            let (status, _) = self.compute_slot_status(slot, pending_preds);
+            let status = self.slot_status(slot, pending_preds);
             if status == SlotStatus::Eligible {
                 return (Some(slot), best_rank);
             }
@@ -1193,44 +989,50 @@ impl<T: Tracer> UarchPe<T> {
         (None, best_rank)
     }
 
+    /// Debug cross-check of an idle-key hit: a full scan must find
+    /// nothing to issue and classify the stall the same way.
+    #[cfg(debug_assertions)]
+    fn debug_check_latched_stall(&mut self, class: CycleClass) {
+        debug_assert!(self.in_flight.is_empty() && self.spec_stack.is_empty());
+        self.hoist_pending();
+        let (slot, rank) = self.debug_reference_scan(0);
+        debug_assert_eq!(slot, None, "latched stall would now issue slot {slot:?}");
+        debug_assert_eq!(
+            Self::rank_class(rank),
+            class,
+            "latched stall class diverges from a full re-scan"
+        );
+    }
+
+    /// The latched stall class, if the idle key still matches the
+    /// current predicate state and queue versions (see [`IdleKey`]).
+    fn idle_class(&self) -> Option<CycleClass> {
+        let key = self.idle?;
+        (key.preds == self.preds.bits() && key.queue_versions == self.queue_version_sum())
+            .then_some(key.class)
+    }
+
     /// The trigger stage: evaluate all triggers, issue at most one
     /// instruction, and classify the cycle.
     fn trigger_phase(&mut self) -> CycleClass {
         if self.halt_pending {
             return CycleClass::NotTriggered;
         }
+
+        // A still-matching idle key proves the scan would repeat the
+        // latched stall.
+        if let Some(class) = self.idle_class() {
+            #[cfg(debug_assertions)]
+            self.debug_check_latched_stall(class);
+            return class;
+        }
+        self.idle = None;
+
         if self.config.predicate_prediction {
             self.try_early_confirmation();
         }
-        self.refresh_queue_epoch();
         self.hoist_pending();
         let pending_preds = self.pending_predicates();
-
-        // Whole-scan stall memo: with an empty pipeline the scan is a
-        // pure function of (predicate state, queue epoch) — every busy
-        // or issuing cycle bumps the epoch, the fingerprint refresh
-        // above catches external traffic, and an empty pipeline pins
-        // the speculation stack (a writer stays in flight until its
-        // bit commits), so forbidden-instruction and interlock checks
-        // are deterministic too. A key match must repeat the stall.
-        if self.jit_enabled
-            && self.in_flight.is_empty()
-            && self.scan_memo.valid
-            && self.scan_memo.preds_bits == self.preds.bits()
-            && self.scan_memo.queue_epoch == self.queue_epoch
-        {
-            #[cfg(debug_assertions)]
-            {
-                let (slot, rank) = self.debug_reference_scan(pending_preds);
-                debug_assert_eq!(slot, None, "memoized stall would now issue slot {slot:?}");
-                debug_assert_eq!(
-                    Self::rank_class(rank),
-                    self.scan_memo.class,
-                    "memoized stall class diverges from a full re-scan"
-                );
-            }
-            return self.scan_memo.class;
-        }
 
         // Dispatch-table candidate scan: skip slots whose predicate
         // pattern cannot match the current state. The skip is exact —
@@ -1240,19 +1042,17 @@ impl<T: Tracer> UarchPe<T> {
         // unit always supplies a value and `BlockedPred` cannot
         // arise), a pattern-mismatched slot is `NotReady` (rank 0)
         // either way. Otherwise `BlockedPred` needs the stable-bit
-        // analysis over *all* slots, so fall back to the full scan.
+        // analysis over *all* slots, and so does a program with too
+        // many predicates for a table: scan every compiled slot.
         let compiled = Arc::clone(&self.compiled);
-        let candidates =
-            if self.jit_enabled && (pending_preds == 0 || self.config.predicate_prediction) {
-                compiled.candidates(self.preds)
-            } else {
-                None
-            };
+        let candidates = if pending_preds == 0 || self.config.predicate_prediction {
+            compiled.candidates(self.preds)
+        } else {
+            None
+        };
 
         #[cfg(debug_assertions)]
-        let reference = candidates
-            .is_some()
-            .then(|| self.debug_reference_scan(pending_preds));
+        let (reference_slot, reference_rank) = self.debug_reference_scan(pending_preds);
 
         let class = match candidates {
             Some(slots) => self.scan_slots(slots.iter().map(|&s| s as usize), pending_preds),
@@ -1260,30 +1060,22 @@ impl<T: Tracer> UarchPe<T> {
         };
 
         #[cfg(debug_assertions)]
-        if let Some((slot, rank)) = reference {
-            if class == CycleClass::Issued {
-                debug_assert_eq!(
-                    slot,
-                    self.in_flight.last().map(|f| f.slot),
-                    "dispatch table issued a different slot than the interpreter"
-                );
-            } else {
-                debug_assert_eq!(slot, None, "dispatch table missed an eligible slot");
-                debug_assert_eq!(
-                    Self::rank_class(rank),
-                    class,
-                    "dispatch table misclassified a stall"
-                );
-            }
-        }
-
-        if self.jit_enabled && class != CycleClass::Issued && self.in_flight.is_empty() {
-            self.scan_memo = ScanMemo {
-                valid: true,
-                preds_bits: self.preds.bits(),
-                queue_epoch: self.queue_epoch,
+        if class == CycleClass::Issued {
+            debug_assert_eq!(
+                reference_slot,
+                self.in_flight.last().map(|f| f.slot),
+                "compiled scan issued a different slot than the full scan"
+            );
+        } else {
+            debug_assert_eq!(
+                reference_slot, None,
+                "compiled scan missed an eligible slot"
+            );
+            debug_assert_eq!(
+                Self::rank_class(reference_rank),
                 class,
-            };
+                "compiled scan misclassified a stall"
+            );
         }
         class
     }
@@ -1349,10 +1141,10 @@ impl<T: Tracer> UarchPe<T> {
         }
     }
 
-    /// The queue-version fingerprint over every input and output
-    /// queue: changes exactly when any queue is pushed, popped or
-    /// cleared, so comparing it against the value recorded at the last
-    /// trigger evaluation detects fabric traffic since then.
+    /// The queue-version sum over every input and output queue:
+    /// changes exactly when any queue is pushed, popped or cleared, so
+    /// comparing it against the value in the idle key detects fabric
+    /// traffic since the latch.
     fn queue_version_sum(&self) -> u64 {
         self.inputs
             .iter()
@@ -1366,11 +1158,13 @@ impl<T: Tracer> UarchPe<T> {
     /// one `Stall` event per skipped cycle — bit-identical to calling
     /// [`UarchPe::step_cycle`] `cycles` times while provably inert.
     fn skip_stall_cycles(&mut self, cycles: u64) {
-        let Some(class) = self.last_stall else {
+        let Some(class) = self.idle_class() else {
             debug_assert!(false, "fast-forward skip requested on an active PE");
             return;
         };
-        debug_assert!(!self.halted && self.in_flight.is_empty());
+        debug_assert!(!self.halted);
+        #[cfg(debug_assertions)]
+        self.debug_check_latched_stall(class);
         match class {
             CycleClass::Issued => unreachable!("an issuing cycle is never latched as a stall"),
             CycleClass::PredicateHazard => self.counters.pred_hazard_cycles += cycles,
@@ -1451,8 +1245,7 @@ impl<T: Tracer> UarchPe<T> {
     /// Restores a snapshot into this PE. The PE must have been built
     /// from the same parameters, configuration and program as the one
     /// that produced the snapshot; continuation is then bit-identical
-    /// to the original run (the trigger-readiness cache is reset —
-    /// it is architecturally transparent).
+    /// to the original run.
     ///
     /// # Errors
     ///
@@ -1549,20 +1342,9 @@ impl<T: Tracer> UarchPe<T> {
         self.now = state.now;
         self.trace = state.trace.clone();
         self.pe_id = state.pe_id;
-        // The trigger-readiness cache memoizes pre-snapshot state;
-        // dropping it is always safe (the fast path is architecturally
-        // transparent). Re-seed the fingerprint from the restored
-        // queue versions so external-traffic detection stays exact.
-        for entry in &mut self.slot_cache {
-            *entry = SlotCacheEntry::invalid();
-        }
-        self.queue_epoch += 1;
-        self.queue_fingerprint = self.queue_version_sum();
-        // The stall latch describes the pre-restore timeline; drop it
-        // so fast-forwarding re-proves inertness after a real step.
-        self.last_stall = None;
-        // So does the whole-scan stall memo.
-        self.scan_memo = ScanMemo::invalid();
+        // The idle key describes the pre-restore timeline; drop it so
+        // the restored PE re-proves inertness by stepping.
+        self.idle = None;
         Ok(())
     }
 }
@@ -1680,16 +1462,12 @@ impl<T: Tracer> ProcessingElement for UarchPe<T> {
             // possibility of un-halting could change that.
             return None;
         }
-        if self.last_stall.is_none() {
-            // Work in flight, or the last step did work: active now.
-            return Some(now);
-        }
         // A latched pure stall repeats forever unless fabric traffic
-        // has landed on a queue since the stall was classified.
-        if self.queue_version_sum() == self.queue_fingerprint {
-            None
-        } else {
-            Some(now)
+        // has landed on a queue since the stall was classified; work
+        // in flight, or a last step that did work, is active now.
+        match self.idle_class() {
+            Some(_) => None,
+            None => Some(now),
         }
     }
 
@@ -1720,41 +1498,25 @@ impl<T: Tracer> ProfileSource for UarchPe<T> {
         // after fresh `not_triggered` cycles; a *pure* stall has an
         // empty pipeline, so raw occupancy/fullness (no in-flight
         // adjustments) is exact in every case that matters.
-        let mut insight = StallInsight::default();
-        for (slot, gate) in self.slot_gates.iter().enumerate() {
-            if !gate.valid || !gate.pattern.matches(self.preds) {
-                continue;
-            }
-            insight.matched_any = true;
-            let instruction = self.instruction(slot);
-            for q in instruction.input_operands() {
-                if self.inputs[q.index()].is_empty() {
-                    insight.empty_input_mask |= 1 << q.index();
-                }
-            }
-            for q in &instruction.dequeues {
-                if self.inputs[q.index()].is_empty() {
-                    insight.empty_input_mask |= 1 << q.index();
-                }
-            }
-            for check in &instruction.trigger.queue_checks {
-                if self.inputs[check.queue.index()].is_empty() {
-                    insight.empty_input_mask |= 1 << check.queue.index();
-                }
-            }
-            if let Some(q) = instruction.enqueues() {
-                let q = q.index();
-                let visible = if self.config.padded_output_queues {
-                    self.outputs[q].capacity() - self.config.pipeline.depth()
-                } else {
-                    self.outputs[q].capacity()
-                };
-                if self.outputs[q].occupancy() >= visible {
-                    insight.full_output_mask |= 1 << q;
-                }
+        let mut empty_inputs = 0u32;
+        for (q, queue) in self.inputs.iter().enumerate() {
+            if queue.is_empty() {
+                empty_inputs |= 1 << q;
             }
         }
-        insight
+        let mut full_outputs = 0u32;
+        for (q, queue) in self.outputs.iter().enumerate() {
+            let visible = if self.config.padded_output_queues {
+                queue.capacity() - self.config.pipeline.depth()
+            } else {
+                queue.capacity()
+            };
+            if queue.occupancy() >= visible {
+                full_outputs |= 1 << q;
+            }
+        }
+        self.compiled
+            .stall_insight(self.preds, empty_inputs, full_outputs)
     }
 
     fn profiled_input_channels(&self) -> usize {
@@ -1922,6 +1684,31 @@ mod tests {
         assert_eq!(plain.counters(), traced.counters());
         assert_eq!(plain.reg(0), traced.reg(0));
         let _ = traced.into_tracer();
+    }
+
+    #[test]
+    fn wide_predicate_files_scan_every_compiled_slot() {
+        // Too many predicates for a dispatch table: every cycle scans
+        // all compiled slots, on every pipeline.
+        let mut params = Params::default();
+        params.num_preds = tia_jit::TABLE_PRED_LIMIT + 1;
+        let program = assemble(
+            "when %p == XXXXXXXXXXX00: add %r0, %r0, 1; set %p = ZZZZZZZZZZZZ1;\n\
+             when %p == 1XXXXXXXXXX10: add %r0, %r0, 1; set %p = ZZZZZZZZZZZZ1;\n\
+             when %p == XXXXXXXXXXXX1: ult %p12, %r0, 3; set %p = ZZZZZZZZZZZ10;\n\
+             when %p == 0XXXXXXXXXX10: halt;",
+            &params,
+        )
+        .expect("assembles");
+        for config in UarchConfig::all() {
+            let mut p = UarchPe::new(&params, config, program.clone()).expect("valid program");
+            assert!(!p.compiled.has_table());
+            while !p.halted() {
+                p.step_cycle();
+            }
+            assert_eq!(p.reg(0), 3, "{config}");
+            assert_eq!(p.counters().retired, 7, "{config}");
+        }
     }
 
     #[test]

@@ -66,125 +66,106 @@ fn steady_state_retirement_does_not_allocate() {
         UarchConfig::with_p(Pipeline::T_DX),
         UarchConfig::with_pq(Pipeline::T_D_X1_X2),
     ] {
-        // Both the compiled trigger engine and the interpreter must be
-        // allocation-free (the dispatch table and memo are built at
-        // construction and only read afterwards).
-        for jit in [true, false] {
-            // A self-sustaining compute loop: retires every issue
-            // slot, exercises the trigger, decode, execute and commit
-            // phases.
-            let mut pe = uarch_pe(
-                config,
-                "when %p == XXXXXXX0: add %r0, %r0, 1; set %p = ZZZZZZZ1;\n\
-                 when %p == XXXXXXX1: ult %p2, %r0, 1000; set %p = ZZZZZZZ0;",
-            );
-            pe.set_jit(jit);
-            for _ in 0..200 {
+        // A self-sustaining compute loop: retires every issue slot,
+        // exercises the trigger, decode, execute and commit phases.
+        let mut pe = uarch_pe(
+            config,
+            "when %p == XXXXXXX0: add %r0, %r0, 1; set %p = ZZZZZZZ1;\n\
+             when %p == XXXXXXX1: ult %p2, %r0, 1000; set %p = ZZZZZZZ0;",
+        );
+        for _ in 0..200 {
+            pe.step_cycle();
+        }
+        let allocations = allocations_during(|| {
+            for _ in 0..2_000 {
                 pe.step_cycle();
             }
-            let allocations = allocations_during(|| {
-                for _ in 0..2_000 {
-                    pe.step_cycle();
-                }
-            });
-            assert_eq!(
-                allocations, 0,
-                "{config} (jit = {jit}): steady-state stepping must not allocate"
-            );
-            assert!(pe.counters().retired > 1_000, "the loop actually ran");
-        }
+        });
+        assert_eq!(
+            allocations, 0,
+            "{config}: steady-state stepping must not allocate"
+        );
+        assert!(pe.counters().retired > 1_000, "the loop actually ran");
     }
 }
 
 #[test]
 fn steady_state_stall_and_skip_do_not_allocate() {
-    for jit in [true, false] {
-        let mut pe = uarch_pe(
-            UarchConfig::with_pq(Pipeline::T_D_X1_X2),
-            "when %p == XXXXXXXX with %i0.0: mov %o0.0, %i0; deq %i0;",
-        );
-        pe.set_jit(jit);
-        for _ in 0..100 {
+    let mut pe = uarch_pe(
+        UarchConfig::with_pq(Pipeline::T_D_X1_X2),
+        "when %p == XXXXXXXX with %i0.0: mov %o0.0, %i0; deq %i0;",
+    );
+    for _ in 0..100 {
+        pe.step_cycle();
+    }
+    let allocations = allocations_during(|| {
+        // Pure stall cycles (served by the idle key after the first
+        // one)...
+        for _ in 0..1_000 {
             pe.step_cycle();
         }
-        let allocations = allocations_during(|| {
-            // Pure stall cycles (with the engine on, served by the
-            // whole-scan memo after the first one)...
-            for _ in 0..1_000 {
-                pe.step_cycle();
-            }
-            // ...and the bulk-skip path the fast-forward engine uses.
-            assert_eq!(pe.next_event_cycle(0), None, "stall was latched");
-            pe.skip_cycles(10_000);
-        });
-        assert_eq!(
-            allocations, 0,
-            "stalling and skipping must not allocate (jit = {jit})"
-        );
-        assert!(pe.counters().cycles > 11_000);
-    }
+        // ...and the bulk-skip path the fast-forward engine uses.
+        assert_eq!(pe.next_event_cycle(0), None, "stall was latched");
+        pe.skip_cycles(10_000);
+    });
+    assert_eq!(allocations, 0, "stalling and skipping must not allocate");
+    assert!(pe.counters().cycles > 11_000);
 }
 
 #[test]
 fn steady_state_queue_traffic_does_not_allocate() {
-    for jit in [true, false] {
-        let mut pe = uarch_pe(
-            UarchConfig::with_pq(Pipeline::T_D_X1_X2),
-            "when %p == XXXXXXXX with %i0.0: add %o0.0, %i0, 1; deq %i0;",
-        );
-        pe.set_jit(jit);
-        for cycle in 0..100u32 {
+    let mut pe = uarch_pe(
+        UarchConfig::with_pq(Pipeline::T_D_X1_X2),
+        "when %p == XXXXXXXX with %i0.0: add %o0.0, %i0, 1; deq %i0;",
+    );
+    for cycle in 0..100u32 {
+        let _ = pe.input_queue_mut(0).push(Token::data(cycle));
+        pe.step_cycle();
+        let _ = pe.output_queue_mut(0).pop();
+    }
+    let allocations = allocations_during(|| {
+        for cycle in 0..2_000u32 {
             let _ = pe.input_queue_mut(0).push(Token::data(cycle));
             pe.step_cycle();
             let _ = pe.output_queue_mut(0).pop();
         }
-        let allocations = allocations_during(|| {
-            for cycle in 0..2_000u32 {
-                let _ = pe.input_queue_mut(0).push(Token::data(cycle));
-                pe.step_cycle();
-                let _ = pe.output_queue_mut(0).pop();
-            }
-        });
-        assert_eq!(
-            allocations, 0,
-            "steady-state relay traffic must not allocate (jit = {jit})"
-        );
-        assert!(pe.counters().retired > 1_000);
-    }
+    });
+    assert_eq!(
+        allocations, 0,
+        "steady-state relay traffic must not allocate"
+    );
+    assert!(pe.counters().retired > 1_000);
 }
 
 #[test]
 fn functional_model_steady_state_does_not_allocate() {
-    for jit in [true, false] {
-        let params = Params::default();
-        let program = assemble(
-            "when %p == XXXXXXXX with %i0.0: add %o0.0, %i0, 1; deq %i0;",
-            &params,
-        )
-        .expect("assembles");
-        let mut pe = FuncPe::new(&params, program).expect("valid program");
-        pe.set_jit(jit);
-        for cycle in 0..100u32 {
+    let params = Params::default();
+    let program = assemble(
+        "when %p == XXXXXXXX with %i0.0: add %o0.0, %i0, 1; deq %i0;",
+        &params,
+    )
+    .expect("assembles");
+    let mut pe = FuncPe::new(&params, program).expect("valid program");
+    for cycle in 0..100u32 {
+        let _ = pe.input_queue_mut(0).push(Token::data(cycle));
+        pe.step_cycle();
+        let _ = pe.output_queue_mut(0).pop();
+    }
+    let allocations = allocations_during(|| {
+        for cycle in 0..2_000u32 {
             let _ = pe.input_queue_mut(0).push(Token::data(cycle));
             pe.step_cycle();
             let _ = pe.output_queue_mut(0).pop();
         }
-        let allocations = allocations_during(|| {
-            for cycle in 0..2_000u32 {
-                let _ = pe.input_queue_mut(0).push(Token::data(cycle));
-                pe.step_cycle();
-                let _ = pe.output_queue_mut(0).pop();
-            }
-            // Idle + bulk skip too.
-            for _ in 0..100 {
-                pe.step_cycle();
-            }
-            assert!(pe.is_quiescent());
-            pe.skip_idle_cycles(10_000);
-        });
-        assert_eq!(
-            allocations, 0,
-            "functional-model steady state must not allocate (jit = {jit})"
-        );
-    }
+        // Idle + bulk skip too.
+        for _ in 0..100 {
+            pe.step_cycle();
+        }
+        assert!(pe.is_quiescent());
+        pe.skip_idle_cycles(10_000);
+    });
+    assert_eq!(
+        allocations, 0,
+        "functional-model steady state must not allocate"
+    );
 }

@@ -38,7 +38,7 @@ impl Rng {
 
 /// A random but well-formed program over predicate bits p0..p2, the
 /// input and output queues, registers r0..r3 and tags 0/1 (the same
-/// generator family as `trigger_cache_prop`).
+/// generator family as `tests/trigger_oracle`).
 fn random_program(rng: &mut Rng) -> String {
     let slots = 2 + rng.below(6);
     let mut src = String::new();

@@ -1,314 +1,96 @@
-//! Property test: the compiled trigger engine (`tia-jit` — guard
-//! bitmasks, the predicate-state dispatch table, and the whole-scan
-//! stall memo) is architecturally invisible. Random programs run
-//! cycle-for-cycle on compiled and interpreted copies of the same PE —
-//! both the cycle-level [`UarchPe`] and the functional [`FuncPe`] —
-//! while external "fabric" traffic lands on the input queues and
-//! drains the output queues mid-run. Every architectural observable,
-//! the retirement trace, and the final snapshot must stay identical.
+//! Property test: the compiled trigger evaluator (`tia-jit` guard
+//! masks and the predicate-state dispatch table) and the idle key of
+//! the functional [`FuncPe`] are architecturally invisible. Random
+//! programs run under the interpreted debug oracle against a twin
+//! that re-scans every cycle (see the `trigger_oracle` module), while
+//! external "fabric" traffic lands on the input queues and drains the
+//! output queues mid-run. Occasionally the keyed PE bulk-skips an idle
+//! stretch while the twin steps through it, and the predicate state is
+//! overwritten from outside, as a host preload does.
 //!
-//! (With debug assertions on, the compiled PE additionally
-//! cross-checks every candidate scan and memo hit against a full
-//! interpreted scan, so a divergence is caught at the exact offending
-//! cycle.)
+//! `trigger_cache_prop` runs the same generator and oracle over the
+//! cycle-level PE.
+
+mod trigger_oracle;
 
 use proptest::prelude::*;
-use tia_asm::assemble;
-use tia_core::{Pipeline, UarchConfig, UarchPe};
-use tia_fabric::{ProcessingElement, Token};
-use tia_isa::{Params, Tag};
+use tia_isa::{Params, PredState};
 use tia_sim::FuncPe;
+use trigger_oracle::{assemble_or_fail, fabric_traffic, program_and_traffic, Rng};
 
-/// SplitMix64 — one seed from the proptest strategy drives the whole
-/// program + traffic schedule, so failures reproduce from the seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-
-    fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.below(den) < num
-    }
+/// Steps a PE after restoring it from its own snapshot, which drops
+/// its idle key, so the step re-scans every trigger.
+fn step_fresh_func(pe: &mut FuncPe) -> Option<usize> {
+    let state = pe.snapshot();
+    pe.restore(&state).expect("a PE restores its own snapshot");
+    pe.step_cycle()
 }
 
-/// A random but well-formed program over predicate bits p0..p2, all
-/// four input queues, both output queues, registers r0..r3 and tags
-/// 0/1 — including negated tag checks and multi-queue dequeues, the
-/// guards the compiler lowers to masks and check lists.
-fn random_program(rng: &mut Rng) -> String {
-    let slots = 2 + rng.below(6);
-    let mut src = String::new();
-    for _ in 0..slots {
-        let mut pattern = String::from("XXXXX");
-        for _ in 0..3 {
-            pattern.push(match rng.below(3) {
-                0 => 'X',
-                1 => '0',
-                _ => '1',
-            });
-        }
-
-        // Optionally gate on a tagged input token, sometimes negated.
-        let queue = if rng.chance(1, 2) {
-            Some((rng.below(4), rng.below(2), rng.chance(1, 4)))
-        } else {
-            None
-        };
-        let with = match queue {
-            Some((q, tag, true)) => format!(" with %i{q}.!{tag}"),
-            Some((q, tag, false)) => format!(" with %i{q}.{tag}"),
-            None => String::new(),
-        };
-
-        let reg_src = format!("%r{}", rng.below(4));
-        let source = match queue {
-            Some((q, _, _)) if rng.chance(2, 3) => format!("%i{q}"),
-            _ => reg_src,
-        };
-        let op = match rng.below(8) {
-            0 => format!("add %r{}, {source}, {};", rng.below(4), rng.below(16)),
-            1 => format!("sub %r{}, {source}, {};", rng.below(4), rng.below(16)),
-            2 => format!("mov %r{}, {source};", rng.below(4)),
-            3 | 4 => format!(
-                "add %o{}.{}, {source}, {};",
-                rng.below(2),
-                rng.below(2),
-                rng.below(16)
-            ),
-            5 | 6 => format!("ult %p{}, {source}, {};", rng.below(3), rng.below(24)),
-            _ => "nop;".to_string(),
-        };
-        let pred_dst: Option<u64> = if op.starts_with("ult") {
-            Some(op.as_bytes()["ult %p".len()] as u64 - b'0' as u64)
-        } else {
-            None
-        };
-
-        let set = if rng.chance(2, 3) {
-            let mut update = String::from("ZZZZZ");
-            for bit in (0..3u64).rev() {
-                let free = pred_dst != Some(bit);
-                update.push(match rng.below(3) {
-                    0 if free => '0',
-                    1 if free => '1',
-                    _ => 'Z',
-                });
-            }
-            if update.chars().all(|c| c == 'Z') {
-                String::new()
-            } else {
-                format!(" set %p = {update};")
-            }
-        } else {
-            String::new()
-        };
-
-        let deq = match queue {
-            Some((q, _, _)) if rng.chance(3, 4) => format!(" deq %i{q};"),
-            _ => String::new(),
-        };
-
-        src.push_str(&format!("when %p == {pattern}{with}: {op}{set}{deq}\n"));
-    }
-    if rng.chance(1, 4) {
-        src.push_str("when %p == XXXXX111: halt;\n");
-    }
-    src
-}
-
-fn configs_under_test() -> Vec<UarchConfig> {
-    vec![
-        UarchConfig::base(Pipeline::TDX),
-        UarchConfig::base(Pipeline::T_DX),
-        UarchConfig::with_p(Pipeline::T_DX),
-        UarchConfig::with_pq(Pipeline::TD_X1_X2),
-        UarchConfig::base(Pipeline::T_D_X1_X2),
-        UarchConfig::with_pq(Pipeline::T_D_X1_X2),
-    ]
-}
-
-/// Steps compiled and interpreted [`UarchPe`] copies through the same
-/// cycle-by-cycle schedule of external queue traffic and compares
-/// every architectural observable, the retirement trace, and the
-/// final snapshot bytes.
-fn run_uarch_differential(
-    config: UarchConfig,
-    source: &str,
-    traffic_seed: u64,
-) -> Result<(), TestCaseError> {
+/// Runs the functional model against its idle-key-free twin; the
+/// schedule also overwrites the predicate state from outside now and
+/// then.
+fn run_func(source: &str, traffic_seed: u64) -> Result<(), TestCaseError> {
     let params = Params::default();
-    let program = match assemble(source, &params) {
-        Ok(p) => p,
-        Err(e) => return Err(TestCaseError::fail(format!("{e}\nprogram:\n{source}"))),
-    };
-    let mut compiled = UarchPe::new(&params, config, program.clone()).expect("PE builds");
-    let mut interpreted = UarchPe::new(&params, config, program).expect("PE builds");
-    compiled.set_jit(true);
-    interpreted.set_jit(false);
-    compiled.record_trace(true);
-    interpreted.record_trace(true);
+    let program = assemble_or_fail(source, &params)?;
+    let mut keyed = FuncPe::new(&params, program.clone()).expect("PE builds");
+    let mut twin = FuncPe::new(&params, program).expect("PE builds");
+    keyed.record_trace(true);
+    twin.record_trace(true);
 
     let mut rng = Rng(traffic_seed);
     for cycle in 0..300u32 {
-        if rng.chance(1, 3) {
-            let q = rng.below(4) as usize;
-            let tag = Tag::new(rng.below(2) as u32, &params).expect("tag in range");
-            let token = Token::new(tag, rng.below(100) as u32);
-            let a = compiled.input_queue_mut(q).push(token);
-            let b = interpreted.input_queue_mut(q).push(token);
-            prop_assert_eq!(a, b, "push acceptance diverged at cycle {}", cycle);
-        }
-        if rng.chance(1, 4) {
-            let q = rng.below(2) as usize;
-            let a = compiled.output_queue_mut(q).pop();
-            let b = interpreted.output_queue_mut(q).pop();
-            prop_assert_eq!(a, b, "drained tokens diverged at cycle {}", cycle);
+        fabric_traffic(&mut rng, &params, &mut keyed, &mut twin, cycle)?;
+        if rng.chance(1, 16) {
+            let preds = PredState::from_bits(rng.below(8) as u32);
+            keyed.set_predicates(preds);
+            twin.set_predicates(preds);
         }
 
-        compiled.step_cycle();
-        interpreted.step_cycle();
+        if keyed.is_quiescent() && rng.chance(1, 4) {
+            let skip = 1 + rng.below(5);
+            keyed.skip_idle_cycles(skip);
+            for _ in 0..skip {
+                let fired = step_fresh_func(&mut twin);
+                prop_assert_eq!(fired, None, "a skipped cycle fired at {}", cycle);
+            }
+        } else {
+            let a = keyed.step_cycle();
+            let b = step_fresh_func(&mut twin);
+            prop_assert_eq!(a, b, "fired slots diverged at cycle {}", cycle);
+        }
 
         prop_assert_eq!(
-            compiled.counters(),
-            interpreted.counters(),
+            keyed.counters(),
+            twin.counters(),
             "counters diverged at cycle {}\nprogram:\n{}",
             cycle,
             source
         );
         prop_assert_eq!(
-            compiled.predicates().bits(),
-            interpreted.predicates().bits(),
+            keyed.predicates().bits(),
+            twin.predicates().bits(),
             "predicates diverged at cycle {}",
             cycle
         );
-        for r in 0..4 {
-            prop_assert_eq!(
-                compiled.reg(r),
-                interpreted.reg(r),
-                "r{} diverged at cycle {}",
-                r,
-                cycle
-            );
-        }
-        for q in 0..4 {
-            prop_assert_eq!(
-                compiled.input_queue(q),
-                interpreted.input_queue(q),
-                "input queue {} diverged at cycle {}",
-                q,
-                cycle
-            );
-        }
-        for q in 0..2 {
-            prop_assert_eq!(
-                compiled.output_queue(q),
-                interpreted.output_queue(q),
-                "output queue {} diverged at cycle {}",
-                q,
-                cycle
-            );
-        }
         prop_assert_eq!(
-            compiled.halted(),
-            interpreted.halted(),
+            keyed.halted(),
+            twin.halted(),
             "halt diverged at cycle {}",
             cycle
         );
-        if compiled.halted() {
+        if keyed.halted() {
             break;
         }
     }
 
     prop_assert_eq!(
-        compiled.trace(),
-        interpreted.trace(),
+        keyed.trace(),
+        twin.trace(),
         "retirement traces diverged\nprogram:\n{}",
         source
     );
-    let a = serde_json::to_string(&compiled.snapshot()).expect("snapshot serializes");
-    let b = serde_json::to_string(&interpreted.snapshot()).expect("snapshot serializes");
-    prop_assert_eq!(a, b, "snapshots are not byte-identical");
-    Ok(())
-}
-
-/// The same differential over the functional simulator's dispatch
-/// table and idle short-circuit.
-fn run_func_differential(source: &str, traffic_seed: u64) -> Result<(), TestCaseError> {
-    let params = Params::default();
-    let program = match assemble(source, &params) {
-        Ok(p) => p,
-        Err(e) => return Err(TestCaseError::fail(format!("{e}\nprogram:\n{source}"))),
-    };
-    let mut compiled = FuncPe::new(&params, program.clone()).expect("PE builds");
-    let mut interpreted = FuncPe::new(&params, program).expect("PE builds");
-    compiled.set_jit(true);
-    interpreted.set_jit(false);
-    compiled.record_trace(true);
-    interpreted.record_trace(true);
-
-    let mut rng = Rng(traffic_seed);
-    for cycle in 0..300u32 {
-        if rng.chance(1, 3) {
-            let q = rng.below(4) as usize;
-            let tag = Tag::new(rng.below(2) as u32, &params).expect("tag in range");
-            let token = Token::new(tag, rng.below(100) as u32);
-            let a = compiled.input_queue_mut(q).push(token);
-            let b = interpreted.input_queue_mut(q).push(token);
-            prop_assert_eq!(a, b, "push acceptance diverged at cycle {}", cycle);
-        }
-        if rng.chance(1, 4) {
-            let q = rng.below(2) as usize;
-            let a = compiled.output_queue_mut(q).pop();
-            let b = interpreted.output_queue_mut(q).pop();
-            prop_assert_eq!(a, b, "drained tokens diverged at cycle {}", cycle);
-        }
-
-        let a = compiled.step_cycle();
-        let b = interpreted.step_cycle();
-        prop_assert_eq!(a, b, "fired slots diverged at cycle {}", cycle);
-
-        prop_assert_eq!(
-            compiled.counters(),
-            interpreted.counters(),
-            "counters diverged at cycle {}\nprogram:\n{}",
-            cycle,
-            source
-        );
-        prop_assert_eq!(
-            compiled.predicates().bits(),
-            interpreted.predicates().bits(),
-            "predicates diverged at cycle {}",
-            cycle
-        );
-        prop_assert_eq!(
-            compiled.halted(),
-            interpreted.halted(),
-            "halt diverged at cycle {}",
-            cycle
-        );
-        if compiled.halted() {
-            break;
-        }
-    }
-
-    prop_assert_eq!(
-        compiled.trace(),
-        interpreted.trace(),
-        "retirement traces diverged\nprogram:\n{}",
-        source
-    );
-    let a = serde_json::to_string(&compiled.snapshot()).expect("snapshot serializes");
-    let b = serde_json::to_string(&interpreted.snapshot()).expect("snapshot serializes");
+    let a = serde_json::to_string(&keyed.snapshot()).expect("snapshot serializes");
+    let b = serde_json::to_string(&twin.snapshot()).expect("snapshot serializes");
     prop_assert_eq!(a, b, "snapshots are not byte-identical");
     Ok(())
 }
@@ -317,12 +99,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
     fn compiled_trigger_engine_matches_the_interpreter(seed in any::<u64>()) {
-        let mut rng = Rng(seed);
-        let source = random_program(&mut rng);
-        let traffic_seed = rng.next();
-        for config in configs_under_test() {
-            run_uarch_differential(config, &source, traffic_seed)?;
-        }
-        run_func_differential(&source, traffic_seed)?;
+        trigger_oracle::require_debug_oracle()?;
+        let (source, traffic_seed) = program_and_traffic(seed);
+        run_func(&source, traffic_seed)?;
     }
 }

@@ -1,137 +1,24 @@
-//! Property test: the dirty-tracked trigger-readiness cache is
-//! architecturally invisible. Random programs — predicate patterns,
-//! datapath predicate writes, trigger-encoded predicate updates, queue
-//! waits, output pushes, halts — run cycle-for-cycle on two copies of
-//! the same PE, one with the cache enabled and one evaluating every
-//! slot from scratch, while external "fabric" traffic lands on the
-//! input queues and drains the output queues mid-run. Every
-//! architectural observable must stay identical on every cycle.
+//! Property test: the idle key of the cycle-level [`UarchPe`] — the
+//! latched stall that replays the trigger stage and serves
+//! `next_event_cycle`/`skip_cycles` — and its compiled trigger scan
+//! are architecturally invisible. Random programs run under six
+//! configurations, under the interpreted debug oracle, against a twin
+//! that re-evaluates every trigger every cycle (see the
+//! `trigger_oracle` module), while external "fabric" traffic lands on
+//! the input queues and drains the output queues mid-run.
+//! Occasionally the keyed PE bulk-skips a latched stall while the twin
+//! steps through it.
 //!
-//! (With debug assertions on, the cache-enabled PE additionally
-//! cross-checks each cache hit against a full re-evaluation, so a
-//! divergence is caught at the exact offending slot and cycle.)
+//! `jit_interp_prop` runs the same generator and oracle over the
+//! functional model.
+
+mod trigger_oracle;
 
 use proptest::prelude::*;
-use tia_asm::assemble;
 use tia_core::{Pipeline, UarchConfig, UarchPe};
-use tia_fabric::{ProcessingElement, Token};
-use tia_isa::{Params, Tag};
-
-/// SplitMix64 — one seed from the proptest strategy drives the whole
-/// program + traffic schedule, so failures reproduce from the seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-
-    fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.below(den) < num
-    }
-}
-
-/// A random but well-formed program over predicate bits p0..p2, all
-/// four input queues, both output queues, registers r0..r3 and tags
-/// 0/1.
-fn random_program(rng: &mut Rng) -> String {
-    let slots = 2 + rng.below(6);
-    let mut src = String::new();
-    for _ in 0..slots {
-        // Trigger pattern: upper five predicate bits are don't-care,
-        // the low three are a random mix of X/0/1.
-        let mut pattern = String::from("XXXXX");
-        for _ in 0..3 {
-            pattern.push(match rng.below(3) {
-                0 => 'X',
-                1 => '0',
-                _ => '1',
-            });
-        }
-
-        // Optionally gate on (and consume) a tagged input token.
-        let queue = if rng.chance(1, 2) {
-            Some((rng.below(4), rng.below(2)))
-        } else {
-            None
-        };
-        let with = match queue {
-            Some((q, tag)) => format!(" with %i{q}.{tag}"),
-            None => String::new(),
-        };
-
-        // The datapath op. Destinations cycle through registers,
-        // output queues and predicates; sources prefer the gated input
-        // queue when one exists.
-        let reg_src = format!("%r{}", rng.below(4));
-        let source = match queue {
-            Some((q, _)) if rng.chance(2, 3) => format!("%i{q}"),
-            _ => reg_src,
-        };
-        let op = match rng.below(8) {
-            0 => format!("add %r{}, {source}, {};", rng.below(4), rng.below(16)),
-            1 => format!("sub %r{}, {source}, {};", rng.below(4), rng.below(16)),
-            2 => format!("mov %r{}, {source};", rng.below(4)),
-            3 | 4 => format!(
-                "add %o{}.{}, {source}, {};",
-                rng.below(2),
-                rng.below(2),
-                rng.below(16)
-            ),
-            // A datapath predicate write: the slowest predicate path
-            // and the one +P speculates over.
-            5 | 6 => format!("ult %p{}, {source}, {};", rng.below(3), rng.below(24)),
-            _ => "nop;".to_string(),
-        };
-        let pred_dst: Option<u64> = if op.starts_with("ult") {
-            Some(op.as_bytes()["ult %p".len()] as u64 - b'0' as u64)
-        } else {
-            None
-        };
-
-        // Optionally a trigger-encoded predicate update on the low
-        // three bits, avoiding the datapath predicate destination (the
-        // assembler rejects that conflict).
-        let set = if rng.chance(2, 3) {
-            let mut update = String::from("ZZZZZ");
-            for bit in (0..3u64).rev() {
-                let free = pred_dst != Some(bit);
-                update.push(match rng.below(3) {
-                    0 if free => '0',
-                    1 if free => '1',
-                    _ => 'Z',
-                });
-            }
-            if update.chars().all(|c| c == 'Z') {
-                String::new()
-            } else {
-                format!(" set %p = {update};")
-            }
-        } else {
-            String::new()
-        };
-
-        let deq = match queue {
-            Some((q, _)) if rng.chance(3, 4) => format!(" deq %i{q};"),
-            _ => String::new(),
-        };
-
-        src.push_str(&format!("when %p == {pattern}{with}: {op}{set}{deq}\n"));
-    }
-    // A rare reachable halt exercises the halt-pending path too.
-    if rng.chance(1, 4) {
-        src.push_str("when %p == XXXXX111: halt;\n");
-    }
-    src
-}
+use tia_fabric::ProcessingElement;
+use tia_isa::Params;
+use trigger_oracle::{assemble_or_fail, fabric_traffic, program_and_traffic, Rng};
 
 fn configs_under_test() -> Vec<UarchConfig> {
     vec![
@@ -144,66 +31,58 @@ fn configs_under_test() -> Vec<UarchConfig> {
     ]
 }
 
-/// Steps both PEs through the same cycle-by-cycle schedule of external
-/// queue traffic and compares every architectural observable.
-fn run_differential(
-    config: UarchConfig,
-    source: &str,
-    traffic_seed: u64,
-) -> Result<(), TestCaseError> {
+/// Steps a PE after restoring it from its own snapshot, which drops
+/// its idle key, so the step re-scans every trigger.
+fn step_fresh_uarch(pe: &mut UarchPe) {
+    let state = pe.snapshot();
+    pe.restore(&state).expect("a PE restores its own snapshot");
+    pe.step_cycle();
+}
+
+/// Runs one configuration of the cycle-level PE against its
+/// idle-key-free twin.
+fn run_uarch(config: UarchConfig, source: &str, traffic_seed: u64) -> Result<(), TestCaseError> {
     let params = Params::default();
-    let program = match assemble(source, &params) {
-        Ok(p) => p,
-        // Generated programs are well-formed by construction; a reject
-        // here means the generator and assembler disagree — surface it.
-        Err(e) => return Err(TestCaseError::fail(format!("{e}\nprogram:\n{source}"))),
-    };
-    let mut cached = UarchPe::new(&params, config, program.clone()).expect("PE builds");
-    let mut full = UarchPe::new(&params, config, program).expect("PE builds");
-    cached.set_trigger_cache(true);
-    full.set_trigger_cache(false);
+    let program = assemble_or_fail(source, &params)?;
+    let mut keyed = UarchPe::new(&params, config, program.clone()).expect("PE builds");
+    let mut twin = UarchPe::new(&params, config, program).expect("PE builds");
+    keyed.record_trace(true);
+    twin.record_trace(true);
 
     let mut rng = Rng(traffic_seed);
     for cycle in 0..300u32 {
-        // External fabric traffic: tokens landing on input queues and
-        // draining from output queues between trigger evaluations —
-        // the case the queue-version fingerprint exists for. Both PEs
-        // see the identical schedule.
-        if rng.chance(1, 3) {
-            let q = rng.below(4) as usize;
-            let tag = Tag::new(rng.below(2) as u32, &params).expect("tag in range");
-            let token = Token::new(tag, rng.below(100) as u32);
-            let a = cached.input_queue_mut(q).push(token);
-            let b = full.input_queue_mut(q).push(token);
-            prop_assert_eq!(a, b, "push acceptance diverged at cycle {}", cycle);
-        }
-        if rng.chance(1, 4) {
-            let q = rng.below(2) as usize;
-            let a = cached.output_queue_mut(q).pop();
-            let b = full.output_queue_mut(q).pop();
-            prop_assert_eq!(a, b, "drained tokens diverged at cycle {}", cycle);
-        }
+        fabric_traffic(&mut rng, &params, &mut keyed, &mut twin, cycle)?;
 
-        cached.step_cycle();
-        full.step_cycle();
+        if keyed.next_event_cycle(0).is_none() && rng.chance(1, 4) {
+            // A latched stall: bulk-skip it on one side, step it on
+            // the other.
+            let skip = 1 + rng.below(5);
+            keyed.skip_cycles(skip);
+            for _ in 0..skip {
+                step_fresh_uarch(&mut twin);
+            }
+        } else {
+            keyed.step_cycle();
+            step_fresh_uarch(&mut twin);
+        }
 
         prop_assert_eq!(
-            cached.counters(),
-            full.counters(),
+            keyed.counters(),
+            twin.counters(),
             "counters diverged at cycle {}\nprogram:\n{}",
             cycle,
             source
         );
         prop_assert_eq!(
-            cached.predicates().bits(),
-            full.predicates().bits(),
+            keyed.predicates().bits(),
+            twin.predicates().bits(),
             "predicates diverged at cycle {}",
             cycle
         );
         for r in 0..4 {
             prop_assert_eq!(
-                cached.reg(r),
-                full.reg(r),
+                keyed.reg(r),
+                twin.reg(r),
                 "r{} diverged at cycle {}",
                 r,
                 cycle
@@ -211,8 +90,8 @@ fn run_differential(
         }
         for q in 0..4 {
             prop_assert_eq!(
-                cached.input_queue(q),
-                full.input_queue(q),
+                keyed.input_queue(q),
+                twin.input_queue(q),
                 "input queue {} diverged at cycle {}",
                 q,
                 cycle
@@ -220,23 +99,33 @@ fn run_differential(
         }
         for q in 0..2 {
             prop_assert_eq!(
-                cached.output_queue(q),
-                full.output_queue(q),
+                keyed.output_queue(q),
+                twin.output_queue(q),
                 "output queue {} diverged at cycle {}",
                 q,
                 cycle
             );
         }
         prop_assert_eq!(
-            cached.halted(),
-            full.halted(),
+            keyed.halted(),
+            twin.halted(),
             "halt diverged at cycle {}",
             cycle
         );
-        if cached.halted() {
+        if keyed.halted() {
             break;
         }
     }
+
+    prop_assert_eq!(
+        keyed.trace(),
+        twin.trace(),
+        "retirement traces diverged\nprogram:\n{}",
+        source
+    );
+    let a = serde_json::to_string(&keyed.snapshot()).expect("snapshot serializes");
+    let b = serde_json::to_string(&twin.snapshot()).expect("snapshot serializes");
+    prop_assert_eq!(a, b, "snapshots are not byte-identical");
     Ok(())
 }
 
@@ -244,11 +133,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
     fn cached_trigger_phase_matches_exhaustive_reevaluation(seed in any::<u64>()) {
-        let mut rng = Rng(seed);
-        let source = random_program(&mut rng);
-        let traffic_seed = rng.next();
+        trigger_oracle::require_debug_oracle()?;
+        let (source, traffic_seed) = program_and_traffic(seed);
         for config in configs_under_test() {
-            run_differential(config, &source, traffic_seed)?;
+            run_uarch(config, &source, traffic_seed)?;
         }
     }
 }

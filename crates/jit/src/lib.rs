@@ -19,51 +19,23 @@
 //!   that could possibly fire under the current predicates — usually
 //!   one or two out of a whole program.
 //!
-//! The compiled form is *derived-only* state: simulators rebuild it
-//! from the program at construction, snapshots never contain it, and
-//! disabling it (`TIA_JIT=0`, [`jit_from_env`]) must be — and is
-//! differentially tested to be — bit-identical.
+//! This is the only trigger evaluator the simulators run: both PEs
+//! resolve triggers through it, and their interpreted scans over the
+//! `Instruction`s survive only as debug-build oracles that cross-check
+//! every compiled scan. The compiled form is *derived-only* state:
+//! simulators rebuild it from the program at construction and
+//! snapshots never contain it.
 
 #![warn(missing_docs)]
 
 use tia_isa::{Params, PredState, Program, Tag};
+use tia_trace::StallInsight;
 
 /// Above this many predicate bits a full dispatch table (one entry per
 /// predicate state) is too large to precompute; [`CompiledProgram`]
 /// then keeps only the compiled guard sets and callers fall back to a
 /// linear scan.
 pub const TABLE_PRED_LIMIT: usize = 12;
-
-/// Parses the `TIA_JIT` boolean toggle. Accepts `1`/`true`/`on`/`yes`
-/// and `0`/`false`/`off`/`no` (case-insensitive, whitespace-trimmed);
-/// anything else — including an empty string — is an error naming the
-/// variable and the offending value. Mirrors
-/// `tia_fabric::parse_toggle`.
-pub fn parse_jit_toggle(value: &str) -> Result<bool, String> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Ok(true),
-        "0" | "false" | "off" | "no" => Ok(false),
-        _ => Err(format!(
-            "invalid TIA_JIT value `{value}`: expected one of 1/true/on/yes or 0/false/off/no"
-        )),
-    }
-}
-
-/// Reads the `TIA_JIT` environment toggle: unset (the default) enables
-/// the compiled trigger engine, otherwise the value must parse via
-/// [`parse_jit_toggle`] — a malformed value panics with a clear
-/// message rather than being quietly treated as "on". Mirrors
-/// `tia_fabric::fast_forward_from_env`.
-pub fn jit_from_env() -> bool {
-    match std::env::var("TIA_JIT") {
-        Ok(value) => match parse_jit_toggle(&value) {
-            Ok(enabled) => enabled,
-            Err(message) => panic!("{message}"),
-        },
-        Err(std::env::VarError::NotPresent) => true,
-        Err(std::env::VarError::NotUnicode(_)) => panic!("invalid TIA_JIT value: not valid UTF-8"),
-    }
-}
 
 /// One lowered tag check: queue index, reference tag and polarity,
 /// stripped of the `InputId` wrapper so the hot loop indexes channels
@@ -89,6 +61,10 @@ pub struct CompiledSlot {
     pub on_set: u32,
     /// Predicate bits required off: `(preds & off_set) == 0`.
     pub off_set: u32,
+    /// Every predicate bit the trigger reads or the instruction writes
+    /// (trigger-encoded update or datapath destination): the footprint
+    /// a pipelined scheduler checks against in-flight predicate writes.
+    pub pred_footprint: u32,
     /// Input queues that must be non-empty (operand reads ∪ dequeues),
     /// deduplicated into one bitmask.
     pub need_mask: u32,
@@ -154,6 +130,7 @@ impl CompiledProgram {
                     valid: i.valid,
                     on_set: i.trigger.predicates.on_set(),
                     off_set: i.trigger.predicates.off_set(),
+                    pred_footprint: i.trigger.predicates.read_set() | i.predicate_write_set(),
                     need_mask,
                     checks: i
                         .trigger
@@ -225,31 +202,40 @@ impl CompiledProgram {
         let hi = table.offsets[state + 1] as usize;
         Some(&table.slots[lo..hi])
     }
+
+    /// Which queues block the slots whose predicate pattern matches
+    /// `preds`, given the PE's empty input queues and full output
+    /// queues as bitmasks (a PE decides what "full" means for its own
+    /// output buffering). An input counts when a matched slot reads,
+    /// dequeues or tag-checks it; an output when a matched slot
+    /// enqueues to it.
+    pub fn stall_insight(
+        &self,
+        preds: PredState,
+        empty_inputs: u32,
+        full_outputs: u32,
+    ) -> StallInsight {
+        let mut insight = StallInsight::default();
+        for c in self
+            .slots
+            .iter()
+            .filter(|c| c.valid && c.pred_matches(preds.bits()))
+        {
+            insight.matched_any = true;
+            let checked = c.checks.iter().fold(0u32, |m, check| m | 1 << check.queue);
+            insight.empty_input_mask |= (c.need_mask | checked) & empty_inputs;
+            if let Some(q) = c.out_queue {
+                insight.full_output_mask |= (1 << q) & full_outputs;
+            }
+        }
+        insight
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tia_asm::assemble;
-
-    #[test]
-    fn jit_toggle_accepts_the_documented_spellings() {
-        for on in ["1", "true", "on", "yes", "TRUE", " On "] {
-            assert_eq!(parse_jit_toggle(on), Ok(true), "{on}");
-        }
-        for off in ["0", "false", "off", "no", "FALSE", " Off "] {
-            assert_eq!(parse_jit_toggle(off), Ok(false), "{off}");
-        }
-    }
-
-    #[test]
-    fn jit_toggle_rejects_empty_and_garbage_loudly() {
-        for bad in ["", " ", "2", "jit", "yess", "disable"] {
-            let err =
-                parse_jit_toggle(bad).expect_err("malformed toggles must not default silently");
-            assert!(err.contains("TIA_JIT"), "{bad:?}: {err}");
-        }
-    }
 
     fn compile(src: &str) -> (CompiledProgram, Program, Params) {
         let params = Params::default();
@@ -291,6 +277,7 @@ mod tests {
         assert!(c.valid);
         assert_eq!(c.on_set, i.trigger.predicates.on_set());
         assert_eq!(c.off_set, i.trigger.predicates.off_set());
+        assert_eq!(c.pred_footprint, 0, "all-X pattern, no predicate writes");
         assert_eq!(c.need_mask, 0b1001, "operands and dequeues dedup");
         assert_eq!(c.deq_mask, 0b1001);
         assert_eq!(c.out_queue, Some(1));
@@ -299,6 +286,35 @@ mod tests {
         assert!(!c.checks[0].negate);
         assert_eq!(c.checks[1].queue, 3);
         assert!(c.checks[1].negate);
+    }
+
+    #[test]
+    fn footprint_covers_trigger_reads_and_both_write_paths() {
+        let (compiled, _, _) = compile("when %p == XXXXXX1X: ult %p2, %r0, 5; set %p = ZZZZZZZ0;");
+        assert_eq!(compiled.slot(0).pred_footprint, 0b0111);
+    }
+
+    #[test]
+    fn stall_insight_masks_only_pattern_matched_slots() {
+        let (compiled, _, _) = compile(
+            "when %p == XXXXXXX0 with %i2.0: add %o1.0, %i0, 1; deq %i0;\n\
+             when %p == XXXXXXX1: mov %o3.0, %i1;",
+        );
+        let insight = compiled.stall_insight(PredState::from_bits(0), 0b1111, 0b1111);
+        assert!(insight.matched_any);
+        assert_eq!(
+            insight.empty_input_mask, 0b0101,
+            "operand and tag-checked queues"
+        );
+        assert_eq!(insight.full_output_mask, 0b0010);
+        let insight = compiled.stall_insight(PredState::from_bits(0), 0b0010, 0b1000);
+        assert_eq!((insight.empty_input_mask, insight.full_output_mask), (0, 0));
+        let (halt_only, _, _) = compile("when %p == XXXXXXX1: halt;");
+        assert!(
+            !halt_only
+                .stall_insight(PredState::from_bits(0), !0, !0)
+                .matched_any
+        );
     }
 
     #[test]
@@ -317,26 +333,5 @@ mod tests {
         let wide = CompiledProgram::compile(&program, &params);
         assert!(!wide.has_table(), "2^16 states exceeds the table gate");
         assert!(wide.candidates(PredState::new()).is_none());
-    }
-
-    #[test]
-    fn env_toggle_defaults_on_and_recognizes_off_spellings() {
-        // Note: avoids mutating the process environment (tests run
-        // concurrently); exercises the parse through a helper.
-        for (value, expect) in [
-            ("0", false),
-            ("false", false),
-            ("OFF", false),
-            ("no", false),
-            ("1", true),
-            ("on", true),
-            ("yes", true),
-        ] {
-            let parsed = !matches!(
-                value.trim().to_ascii_lowercase().as_str(),
-                "0" | "false" | "off" | "no"
-            );
-            assert_eq!(parsed, expect, "{value}");
-        }
     }
 }

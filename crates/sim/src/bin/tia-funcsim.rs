@@ -105,7 +105,6 @@ struct Options {
     resume: Option<String>,
     watchdog: Option<u64>,
     fast_forward: bool,
-    jit: bool,
 }
 
 /// Everything beyond the PE itself that the simulation loop carries:
@@ -168,7 +167,6 @@ fn parse_args() -> Result<Options, String> {
     let mut resume = None;
     let mut watchdog = None;
     let mut fast_forward = tia_fabric::fast_forward_from_env();
-    let mut jit = tia_jit::jit_from_env();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--params" => {
@@ -241,7 +239,6 @@ fn parse_args() -> Result<Options, String> {
             }
             "--resume" => resume = Some(args.next().ok_or("--resume needs a file")?),
             "--no-fast-forward" => fast_forward = false,
-            "--no-jit" => jit = false,
             "--watchdog" => {
                 let window: u64 = args
                     .next()
@@ -263,7 +260,7 @@ fn parse_args() -> Result<Options, String> {
                             [--cpi-window N] [--profile] [--profile-out FILE] \
                             [--checkpoint-every N] \
                             [--checkpoint-out FILE] [--resume FILE] \
-                            [--watchdog N] [--no-fast-forward] [--no-jit] <program>"
+                            [--watchdog N] [--no-fast-forward] <program>"
                         .to_string(),
                 )
             }
@@ -337,7 +334,6 @@ fn parse_args() -> Result<Options, String> {
         resume,
         watchdog,
         fast_forward,
-        jit,
     })
 }
 
@@ -404,7 +400,6 @@ fn simulate<T: Tracer>(
     tracer: T,
 ) -> Result<SimOutcome<T>, String> {
     let mut pe = FuncPe::with_tracer(&opts.params, program, tracer).map_err(|e| e.to_string())?;
-    pe.set_jit(opts.jit);
     for (queue, tokens) in &opts.inputs {
         for token in tokens {
             if !pe.input_queue_mut(*queue).push(*token) {

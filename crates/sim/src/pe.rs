@@ -15,13 +15,26 @@ use tia_isa::{
     alu, DstOperand, Instruction, IsaError, Op, Params, PredState, Program, SrcOperand, Word,
     NUM_SRCS,
 };
-use tia_jit::CompiledProgram;
+use tia_jit::{CompiledProgram, CompiledSlot};
 use tia_trace::{
     ChannelPressure, EventKind, NullTracer, ProfCounters, ProfileSource, QueueDir, StallClass,
     StallInsight, Tracer,
 };
 
 use crate::counters::FuncCounters;
+
+/// The PE's one idle key, latched after a step that triggered nothing.
+/// Trigger resolution is a pure function of the predicate state and
+/// the queue contents, and an idle step changes neither, so while both
+/// still match the key the PE stays idle. Derived-only: never
+/// snapshotted, cleared on restore.
+#[derive(Debug, Clone, Copy)]
+struct IdleKey {
+    preds: u32,
+    /// [`FuncPe::queue_version_sum`] at the latch; any push, pop or
+    /// clear of any queue since changes it.
+    queue_versions: u64,
+}
 
 /// A functional triggered PE.
 ///
@@ -70,24 +83,14 @@ pub struct FuncPe<T: Tracer = NullTracer> {
     trace: Option<Vec<u16>>,
     pe_id: u16,
     tracer: T,
-    /// Whether the most recent [`FuncPe::step_cycle`] was an idle
-    /// cycle (no instruction triggered). Non-architectural scheduling
-    /// hint for the fast-forward engine; never snapshotted and
-    /// cleared on restore.
-    last_idle: bool,
-    /// Sum of queue versions observed when `last_idle` was latched.
-    /// An unchanged sum proves no external traffic has touched the
-    /// queues since, so the trigger outcome cannot have changed.
-    queue_epoch: u64,
+    /// The latched idle step, if the last step was one (see
+    /// [`IdleKey`]).
+    idle: Option<IdleKey>,
     /// The program's guards compiled to flat masks and a
-    /// predicate-state dispatch table (see [`tia_jit`]). Derived-only:
-    /// rebuilt from the program at construction, never snapshotted.
+    /// predicate-state dispatch table (see [`tia_jit`]): the trigger
+    /// scan's only evaluator. Derived-only: rebuilt from the program
+    /// at construction, never snapshotted.
     compiled: CompiledProgram,
-    /// Whether the compiled trigger engine drives the per-cycle scan
-    /// (`TIA_JIT`, default on). Architecturally transparent either
-    /// way; debug builds cross-check every compiled scan against the
-    /// interpreted one.
-    jit_enabled: bool,
 }
 
 impl FuncPe {
@@ -130,24 +133,9 @@ impl<T: Tracer> FuncPe<T> {
             tracer,
             params: params.clone(),
             program: Arc::new(program),
-            last_idle: false,
-            queue_epoch: 0,
+            idle: None,
             compiled,
-            jit_enabled: tia_jit::jit_from_env(),
         })
-    }
-
-    /// Enables (or disables) the compiled trigger engine. On by
-    /// default (subject to `TIA_JIT`); disabling falls back to the
-    /// interpreted per-slot scan — bit-identical by construction,
-    /// useful for A/B benchmarking and differential tests.
-    pub fn set_jit(&mut self, enable: bool) {
-        self.jit_enabled = enable;
-    }
-
-    /// Whether the compiled trigger engine is active.
-    pub fn jit_enabled(&self) -> bool {
-        self.jit_enabled
     }
 
     /// Sets the PE id stamped on every emitted trace event (defaults
@@ -260,7 +248,9 @@ impl<T: Tracer> FuncPe<T> {
 
     /// Whether instruction slot `slot` is eligible to fire under the
     /// current architectural state (the scheduler's trigger
-    /// resolution, §2.1).
+    /// resolution, §2.1), interpreted straight from the
+    /// [`Instruction`]. The reference semantics: stepping runs the
+    /// compiled scan, which debug builds cross-check against this.
     pub fn eligible(&self, slot: usize) -> bool {
         let Some(i) = self.program.instructions().get(slot) else {
             return false;
@@ -306,16 +296,16 @@ impl<T: Tracer> FuncPe<T> {
     }
 
     /// The highest-priority eligible instruction slot this cycle, if
-    /// any (the priority encoder of Figure 2).
+    /// any (the priority encoder of Figure 2), by the interpreted
+    /// reference scan.
     pub fn triggered_slot(&self) -> Option<usize> {
         (0..self.program.len()).find(|&slot| self.eligible(slot))
     }
 
     /// The queue-side guards of one compiled slot: tag checks, operand
     /// availability, output capacity. The caller has already settled
-    /// the predicate guard through the dispatch table.
-    fn compiled_queue_ready(&self, slot: usize) -> bool {
-        let c = self.compiled.slot(slot);
+    /// the predicate guard.
+    fn queue_ready(&self, c: &CompiledSlot) -> bool {
         for check in &c.checks {
             match self.inputs[check.queue as usize].peek() {
                 None => return false,
@@ -342,37 +332,36 @@ impl<T: Tracer> FuncPe<T> {
         true
     }
 
-    /// [`FuncPe::triggered_slot`] through the compiled engine: a
-    /// quiescence short-circuit (the previous step idled and no queue
-    /// has been touched since, so rescanning is provably futile), then
-    /// the dispatch table narrows the scan to the slots whose
-    /// predicate pattern matches the current state. Falls back to the
-    /// interpreted scan when disabled or when no table was built.
-    fn triggered_slot_hot(&self) -> Option<usize> {
-        if !self.jit_enabled {
-            return self.triggered_slot();
-        }
-        if self.last_idle && self.queue_version_sum() == self.queue_epoch {
-            debug_assert_eq!(
-                self.triggered_slot(),
-                None,
-                "a quiescent PE re-derived a trigger"
-            );
-            return None;
-        }
-        let Some(candidates) = self.compiled.candidates(self.preds) else {
-            return self.triggered_slot();
+    /// [`FuncPe::triggered_slot`] through the compiled guards: the
+    /// dispatch table narrows the scan to the slots whose predicate
+    /// pattern matches the current state, or, for predicate files too
+    /// wide for a table, a linear scan tests every compiled slot.
+    fn compiled_triggered_slot(&self) -> Option<usize> {
+        let compiled = &self.compiled;
+        let slot = match compiled.candidates(self.preds) {
+            Some(candidates) => candidates
+                .iter()
+                .map(|&s| s as usize)
+                .find(|&s| self.queue_ready(compiled.slot(s))),
+            None => compiled
+                .slots()
+                .iter()
+                .position(|c| c.valid && c.pred_matches(self.preds.bits()) && self.queue_ready(c)),
         };
-        let slot = candidates
-            .iter()
-            .map(|&s| s as usize)
-            .find(|&s| self.compiled_queue_ready(s));
         debug_assert_eq!(
             slot,
             self.triggered_slot(),
             "compiled trigger scan diverges from the interpreter"
         );
         slot
+    }
+
+    /// Whether the idle key still matches the current predicate state
+    /// and queue versions (see [`IdleKey`]).
+    fn idle_key_holds(&self) -> bool {
+        self.idle.is_some_and(|key| {
+            key.preds == self.preds.bits() && key.queue_versions == self.queue_version_sum()
+        })
     }
 
     /// Advances one cycle: triggers and atomically executes at most one
@@ -382,13 +371,25 @@ impl<T: Tracer> FuncPe<T> {
             return None;
         }
         self.counters.cycles += 1;
-        let Some(slot) = self.triggered_slot_hot() else {
+        let slot = if self.idle_key_holds() {
+            debug_assert_eq!(
+                self.triggered_slot(),
+                None,
+                "a quiescent PE re-derived a trigger"
+            );
+            None
+        } else {
+            self.idle = None;
+            self.compiled_triggered_slot()
+        };
+        let Some(slot) = slot else {
             self.counters.idle += 1;
-            // The trigger outcome is a pure function of predicates and
-            // queue contents; an idle cycle changes neither, so the PE
-            // stays idle until external traffic bumps a queue version.
-            self.last_idle = true;
-            self.queue_epoch = self.queue_version_sum();
+            if self.idle.is_none() {
+                self.idle = Some(IdleKey {
+                    preds: self.preds.bits(),
+                    queue_versions: self.queue_version_sum(),
+                });
+            }
             if T::ENABLED {
                 // The functional model has no pipeline, so every idle
                 // cycle is a trigger-resolution failure.
@@ -402,7 +403,6 @@ impl<T: Tracer> FuncPe<T> {
             }
             return None;
         };
-        self.last_idle = false;
         if T::ENABLED {
             self.tracer.emit(
                 self.pe_id,
@@ -539,10 +539,10 @@ impl<T: Tracer> FuncPe<T> {
     }
 
     /// Whether the PE is provably idle until external queue traffic
-    /// arrives: the previous step triggered nothing and no queue has
-    /// been touched since.
+    /// arrives: the previous step triggered nothing and neither a
+    /// queue nor the predicate state has been touched since.
     pub fn is_quiescent(&self) -> bool {
-        !self.halted && self.last_idle && self.queue_version_sum() == self.queue_epoch
+        !self.halted && self.idle_key_holds()
     }
 
     /// Advances `cycles` idle cycles at once, updating counters and
@@ -554,6 +554,11 @@ impl<T: Tracer> FuncPe<T> {
         debug_assert!(
             self.is_quiescent(),
             "skip_idle_cycles requires a quiescent PE"
+        );
+        debug_assert_eq!(
+            self.triggered_slot(),
+            None,
+            "a quiescent PE re-derived a trigger"
         );
         if T::ENABLED {
             for _ in 0..cycles {
@@ -646,10 +651,9 @@ impl<T: Tracer> FuncPe<T> {
         self.counters = state.counters;
         self.trace = state.trace.clone();
         self.pe_id = state.pe_id;
-        // Scheduling hints are conservative, not architectural: drop
-        // them so the restored PE re-derives idleness by stepping.
-        self.last_idle = false;
-        self.queue_epoch = 0;
+        // The idle key is a scheduling hint, not architectural: drop it
+        // so the restored PE re-derives idleness by stepping.
+        self.idle = None;
         Ok(())
     }
 }
@@ -771,34 +775,20 @@ impl<T: Tracer> ProfileSource for FuncPe<T> {
     }
 
     fn stall_insight(&self) -> StallInsight {
-        let mut insight = StallInsight::default();
-        for i in self.program.instructions() {
-            if !i.valid || !i.trigger.predicates.matches(self.preds) {
-                continue;
-            }
-            insight.matched_any = true;
-            for q in i.input_operands() {
-                if self.inputs[q.index()].is_empty() {
-                    insight.empty_input_mask |= 1 << q.index();
-                }
-            }
-            for q in &i.dequeues {
-                if self.inputs[q.index()].is_empty() {
-                    insight.empty_input_mask |= 1 << q.index();
-                }
-            }
-            for check in &i.trigger.queue_checks {
-                if self.inputs[check.queue.index()].is_empty() {
-                    insight.empty_input_mask |= 1 << check.queue.index();
-                }
-            }
-            if let Some(q) = i.enqueues() {
-                if self.outputs[q.index()].is_full() {
-                    insight.full_output_mask |= 1 << q.index();
-                }
+        let mut empty_inputs = 0u32;
+        for (q, queue) in self.inputs.iter().enumerate() {
+            if queue.is_empty() {
+                empty_inputs |= 1 << q;
             }
         }
-        insight
+        let mut full_outputs = 0u32;
+        for (q, queue) in self.outputs.iter().enumerate() {
+            if queue.is_full() {
+                full_outputs |= 1 << q;
+            }
+        }
+        self.compiled
+            .stall_insight(self.preds, empty_inputs, full_outputs)
     }
 
     fn profiled_input_channels(&self) -> usize {
@@ -995,6 +985,29 @@ mod tests {
         assert_eq!(plain.step_cycle(), None);
         assert_eq!(plain.counters(), traced.counters());
         assert_eq!(plain.reg(0), traced.reg(0));
+    }
+
+    #[test]
+    fn wide_predicate_files_scan_every_compiled_slot() {
+        // Too many predicates for a dispatch table: the compiled scan
+        // falls back to testing every slot's guards in order.
+        let mut params = Params::default();
+        params.num_preds = tia_jit::TABLE_PRED_LIMIT + 1;
+        let program = assemble(
+            "when %p == XXXXXXXXXXX00: add %r0, %r0, 1; set %p = ZZZZZZZZZZZZ1;\n\
+             when %p == 1XXXXXXXXXX10: add %r0, %r0, 1; set %p = ZZZZZZZZZZZZ1;\n\
+             when %p == XXXXXXXXXXXX1: ult %p12, %r0, 3; set %p = ZZZZZZZZZZZ10;\n\
+             when %p == 0XXXXXXXXXX10: halt;",
+            &params,
+        )
+        .unwrap();
+        let mut pe = FuncPe::new(&params, program).unwrap();
+        assert!(!pe.compiled.has_table());
+        while !pe.is_halted() {
+            pe.step_cycle();
+        }
+        assert_eq!(pe.reg(0), 3);
+        assert_eq!(pe.counters().retired, 7);
     }
 
     #[test]

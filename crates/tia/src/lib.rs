@@ -31,9 +31,9 @@
 //!   attribution (every cycle lands in exactly one taxonomy leaf),
 //!   cross-PE critical-path analysis, and bottleneck labels.
 //! * [`jit`] — ahead-of-time trigger-program specialization: guard
-//!   bitmasks and a predicate-state dispatch table that both
-//!   simulators use for their per-cycle trigger scan (`TIA_JIT=0`
-//!   opts out; bit-identical either way).
+//!   bitmasks and a predicate-state dispatch table, the one trigger
+//!   evaluator both simulators run (debug builds cross-check every
+//!   scan against the interpreted one).
 //!
 //! # Examples
 //!
