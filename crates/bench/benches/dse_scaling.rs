@@ -5,13 +5,16 @@
 //! `par_2w`/`par_4w` show scaling where cores are available.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tia_bench::bst_activity_source;
+use tia_bench::{activity_of, run_uarch_workload, RunKey};
 use tia_core::UarchConfig;
 use tia_energy::dse::{explore, par_explore_with};
-use tia_workloads::Scale;
+use tia_workloads::{Scale, WorkloadKind};
 
 fn bench_dse_scaling(c: &mut Criterion) {
-    let source = bst_activity_source(Scale::Test);
+    let source = |config: &UarchConfig| {
+        let key = RunKey::new(WorkloadKind::Bst, *config);
+        activity_of(&[run_uarch_workload(&key, Scale::Test).0])
+    };
     let mut group = c.benchmark_group("dse_scaling");
     group.bench_function("serial", |b| {
         b.iter(|| {

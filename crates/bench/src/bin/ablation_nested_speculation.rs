@@ -8,9 +8,9 @@
 //! speculation depths 1 (the paper's unit) through 4, on the three
 //! deepest pipelines.
 
-use tia_bench::{run_uarch_workload, scale_from_args, Table};
+use tia_bench::{scale_from_args, suite_keys, RunStore, Table};
 use tia_core::{CpiStack, Pipeline, UarchConfig};
-use tia_workloads::{WorkloadKind, ALL_WORKLOADS};
+use tia_workloads::ALL_WORKLOADS;
 
 fn main() {
     let scale = scale_from_args();
@@ -29,19 +29,21 @@ fn main() {
             variants.push((pipeline, depth));
         }
     }
-    // One simulation per (variant, workload) cell across the pool;
-    // suite averages fall out of the ordered merge.
-    let cells: Vec<((Pipeline, u8), WorkloadKind)> = variants
+    // One run per (variant, workload) cell; suite averages fall out
+    // of the ordered merge.
+    let configs: Vec<UarchConfig> = variants
         .iter()
-        .flat_map(|&v| ALL_WORKLOADS.iter().map(move |&k| (v, k)))
+        .map(|&(pipeline, depth)| UarchConfig::with_nested(pipeline, depth))
         .collect();
-    let stacks = tia_par::par_map(&cells, |&((pipeline, depth), kind)| {
-        let config = UarchConfig::with_nested(pipeline, depth);
-        run_uarch_workload(kind, config, scale).counters.cpi_stack()
-    });
-    let averages: Vec<CpiStack> = stacks
+    let store = RunStore::from_args(scale);
+    let runs = store.runs(&suite_keys(&configs));
+    store.report();
+    let averages: Vec<CpiStack> = runs
         .chunks(ALL_WORKLOADS.len())
-        .map(CpiStack::average)
+        .map(|chunk| {
+            let stacks: Vec<CpiStack> = chunk.iter().map(|r| r.counters.cpi_stack()).collect();
+            CpiStack::average(&stacks)
+        })
         .collect();
     for (&(pipeline, depth), s) in variants.iter().zip(&averages) {
         t.row_owned(vec![

@@ -4,7 +4,7 @@
 //! this harness compares it against one-bit and static predictors on
 //! the deepest pipeline, per workload.
 
-use tia_bench::{run_uarch_workload, scale_from_args, Table};
+use tia_bench::{scale_from_args, RunKey, RunStore, Table};
 use tia_core::{Pipeline, PredictorKind, UarchConfig};
 use tia_workloads::ALL_WORKLOADS;
 
@@ -21,20 +21,23 @@ fn main() {
         "not-taken CPI",
     ]);
     let mut avg = [0.0f64; 4];
-    // All (workload, predictor) pairs are independent simulations.
-    let pairs: Vec<(tia_workloads::WorkloadKind, PredictorKind)> = ALL_WORKLOADS
+    // One run per (workload, predictor) pair.
+    let keys: Vec<RunKey> = ALL_WORKLOADS
         .iter()
-        .flat_map(|&kind| PredictorKind::ALL.iter().map(move |&p| (kind, p)))
+        .flat_map(|&kind| {
+            PredictorKind::ALL.iter().map(move |&p| {
+                RunKey::new(kind, UarchConfig::with_predictor(Pipeline::T_D_X1_X2, p))
+            })
+        })
         .collect();
-    let counters = tia_par::par_map(&pairs, |&(kind, predictor)| {
-        let config = UarchConfig::with_predictor(Pipeline::T_D_X1_X2, predictor);
-        run_uarch_workload(kind, config, scale).counters
-    });
+    let store = RunStore::from_args(scale);
+    let runs = store.runs(&keys);
+    store.report();
     let predictors = PredictorKind::ALL.len();
     for (w, kind) in ALL_WORKLOADS.iter().enumerate() {
         let mut cells = vec![kind.name().to_string()];
         for i in 0..predictors {
-            let c = counters[w * predictors + i];
+            let c = runs[w * predictors + i].counters;
             if i < 2 {
                 let acc = c.prediction_accuracy();
                 cells.push(if acc.is_nan() {

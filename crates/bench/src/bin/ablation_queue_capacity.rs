@@ -8,23 +8,9 @@
 //! WaveScalar reject-buffer tradeoff — while +Q gets most of the
 //! benefit at minimal capacity.
 
-use tia_bench::{scale_from_args, Table};
-use tia_core::{Pipeline, UarchConfig, UarchPe};
-use tia_isa::Params;
-use tia_workloads::{Scale, WorkloadKind};
-
-fn run(kind: WorkloadKind, config: UarchConfig, capacity: usize, scale: Scale) -> f64 {
-    let mut params = Params::default();
-    params.queue_capacity = capacity;
-    let mut factory = |p: &Params, prog| UarchPe::new(p, config, prog);
-    let mut built = kind
-        .build(&params, scale, &mut factory)
-        .unwrap_or_else(|e| panic!("{kind}: {e}"));
-    built
-        .run_to_completion()
-        .unwrap_or_else(|e| panic!("{kind} at capacity {capacity}: {e}"));
-    built.system.pe(built.worker).counters().cpi()
-}
+use tia_bench::{scale_from_args, RunKey, RunStore, Table};
+use tia_core::{Pipeline, UarchConfig};
+use tia_workloads::WorkloadKind;
 
 fn main() {
     let scale = scale_from_args();
@@ -40,21 +26,28 @@ fn main() {
         UarchConfig::with_q(Pipeline::T_D_X1_X2),
         UarchConfig::with_padding(Pipeline::T_D_X1_X2),
     ];
-    // Every (capacity, discipline) point is an independent run of the
-    // merge worker; sweep them across the pool.
-    let points: Vec<(usize, UarchConfig)> = [2usize, 3, 4, 6, 8, 12, 16]
+    // One run of the merge worker per (capacity, discipline) point;
+    // the capacity is an ISA parameter, so it is part of the run key.
+    let capacities = [2usize, 3, 4, 6, 8, 12, 16];
+    let keys: Vec<RunKey> = capacities
         .iter()
-        .flat_map(|&capacity| disciplines.iter().map(move |&config| (capacity, config)))
+        .flat_map(|&capacity| {
+            disciplines.iter().map(move |&config| {
+                let mut key = RunKey::new(WorkloadKind::Merge, config);
+                key.params.queue_capacity = capacity;
+                key
+            })
+        })
         .collect();
-    let cpis = tia_par::par_map(&points, |&(capacity, config)| {
-        run(WorkloadKind::Merge, config, capacity, scale)
-    });
-    for (chunk, cpi_row) in points.chunks(disciplines.len()).zip(cpis.chunks(3)) {
+    let store = RunStore::from_args(scale);
+    let runs = store.runs(&keys);
+    store.report();
+    for (capacity, row) in capacities.iter().zip(runs.chunks(disciplines.len())) {
         t.row_owned(vec![
-            chunk[0].0.to_string(),
-            format!("{:.3}", cpi_row[0]),
-            format!("{:.3}", cpi_row[1]),
-            format!("{:.3}", cpi_row[2]),
+            capacity.to_string(),
+            format!("{:.3}", row[0].counters.cpi()),
+            format!("{:.3}", row[1].counters.cpi()),
+            format!("{:.3}", row[2].counters.cpi()),
         ]);
     }
     print!("{}", t.render());

@@ -10,10 +10,10 @@
 //! Also reports per-worker scheduler utilization for every parallel
 //! run.
 //!
-//! Finally, A/B-times the content-addressed measurement store
-//! (`tia-store`) over the same sweep: a cold sweep that simulates and
-//! persists every point versus a warm sweep answered entirely from
-//! the store, with the warm results asserted bit-identical.
+//! Finally, A/B-times the run store over the same sweep: a cold sweep
+//! that simulates and persists every run versus a warm sweep answered
+//! entirely from the store, with the warm results asserted
+//! bit-identical.
 //!
 //! ```text
 //! cargo run --release -p tia-bench --bin dse_bench \
@@ -33,10 +33,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use tia_bench::{activity_of, run_uarch_workload, scale_from_args, scale_label};
+use tia_bench::{activity_of, run_uarch_workload, scale_from_args, RunKey, RunStore};
 use tia_core::UarchConfig;
 use tia_energy::dse::{explore, par_explore_stats_with, par_explore_with};
-use tia_energy::{CheckpointedCpi, SweepContext};
 use tia_workloads::WorkloadKind;
 
 #[derive(serde::Serialize)]
@@ -85,14 +84,14 @@ struct FastForwardRun {
     per_config: Vec<ConfigFastForward>,
 }
 
-/// Cold-vs-warm timing of the content-addressed measurement store
-/// over the same sweep.
+/// Cold-vs-warm timing of the run store over the same sweep; the
+/// counts are runs.
 #[derive(serde::Serialize)]
 struct StoreRun {
-    /// Sweep over an empty store: every point simulated and persisted.
+    /// Sweep over an empty store: every run simulated and persisted.
     cold_seconds: f64,
-    /// Sweep over the store the cold sweep filled: every point
-    /// answered by hash lookup, nothing simulated.
+    /// Sweep over the store the cold sweep filled: every run answered
+    /// by hash lookup, nothing simulated.
     warm_seconds: f64,
     speedup: f64,
     cold_simulated: u64,
@@ -138,7 +137,7 @@ fn main() {
     let sim_cycles = AtomicU64::new(0);
     let ff_rows: Mutex<Vec<ConfigFastForward>> = Mutex::new(Vec::new());
     let source = |config: &UarchConfig| {
-        let run = run_uarch_workload(WorkloadKind::Bst, *config, scale);
+        let (run, ff) = run_uarch_workload(&RunKey::new(WorkloadKind::Bst, *config), scale);
         sim_cycles.fetch_add(run.counters.cycles, Ordering::Relaxed);
         ff_rows
             .lock()
@@ -146,13 +145,13 @@ fn main() {
             .push(ConfigFastForward {
                 config: config.to_string(),
                 cycles: run.system_cycles,
-                skipped_cycles: run.ff.skipped_cycles,
-                skipped_fraction: run.ff.skipped_cycles as f64 / run.system_cycles.max(1) as f64,
-                probes: run.ff.probes,
-                probe_hits: run.ff.probe_hits,
-                probe_hit_rate: run.ff.probe_hits as f64 / run.ff.probes.max(1) as f64,
+                skipped_cycles: ff.skipped_cycles,
+                skipped_fraction: ff.skipped_cycles as f64 / run.system_cycles.max(1) as f64,
+                probes: ff.probes,
+                probe_hits: ff.probe_hits,
+                probe_hit_rate: ff.probe_hits as f64 / ff.probes.max(1) as f64,
             });
-        activity_of(&run)
+        activity_of(&[run])
     };
 
     // Warm caches (page-in, allocator) before timing anything.
@@ -238,32 +237,39 @@ fn main() {
     );
     bit_identical &= fast_forward.bit_identical;
 
-    // Cold vs warm A/B of the content-addressed measurement store
-    // over the same serial sweep: the cold pass simulates and persists
-    // every point, the warm pass reopens the file and answers every
-    // point by canonical-hash lookup.
+    // Cold vs warm A/B of the run store over the same serial sweep:
+    // the cold pass simulates and persists every run, the warm pass
+    // reopens the file and answers every run by canonical-hash lookup.
     let store_path =
         std::env::temp_dir().join(format!("tia-dse-bench-{}.store", std::process::id()));
     let _ = std::fs::remove_file(&store_path);
-    let ctx = SweepContext::new("bst", scale_label(scale));
-    let cold_src =
-        CheckpointedCpi::resume(&source, &store_path, ctx.clone()).expect("open bench store");
+    let open = || {
+        RunStore::open(&store_path, scale)
+            .expect("open bench store")
+            .0
+    };
+    let bst_sweep = |runs: &RunStore| {
+        par_explore_with(1, &|c: &UarchConfig| {
+            activity_of(&runs.runs(&[RunKey::new(WorkloadKind::Bst, *c)]))
+        })
+    };
+    let cold_runs = open();
     let start = Instant::now();
-    let cold_points = par_explore_with(1, &cold_src);
+    let cold_points = bst_sweep(&cold_runs);
     let cold_seconds = start.elapsed().as_secs_f64();
-    let cold_simulated = cold_src.misses();
-    drop(cold_src);
-    let warm_src = CheckpointedCpi::resume(&source, &store_path, ctx).expect("reopen bench store");
+    let cold_simulated = cold_runs.simulated();
+    drop(cold_runs);
+    let warm_runs = open();
     let start = Instant::now();
-    let warm_points = par_explore_with(1, &warm_src);
+    let warm_points = bst_sweep(&warm_runs);
     let warm_seconds = start.elapsed().as_secs_f64();
     let store = StoreRun {
         cold_seconds,
         warm_seconds,
         speedup: cold_seconds / warm_seconds.max(f64::EPSILON),
         cold_simulated,
-        warm_lookups: warm_src.lookups(),
-        warm_simulated: warm_src.misses(),
+        warm_lookups: warm_runs.hits(),
+        warm_simulated: warm_runs.simulated(),
         bit_identical: cold_points == serial && warm_points == serial,
     };
     let _ = std::fs::remove_file(&store_path);
@@ -291,10 +297,9 @@ fn main() {
                engine overhead, not scaling (worker_utilization shows \
                the scheduler's balance independently of core count). \
                The fast_forward block A/B-times the quiescence-aware \
-               fast-forward engine and the store block the \
-               content-addressed measurement store (tia-store, cold \
-               fill vs fully warm lookups), over the identical serial \
-               sweep."
+               fast-forward engine and the store block the run store \
+               (one record per bst run, cold fill vs fully warm \
+               lookups), over the identical serial sweep."
             .to_string(),
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
@@ -331,7 +336,7 @@ fn main() {
         );
         assert_eq!(
             report.store.warm_simulated, 0,
-            "a warm store still had to simulate points"
+            "a warm store still had to simulate runs"
         );
         assert!(
             report.store.warm_seconds <= report.store.cold_seconds + GATE_SLACK_SECONDS,

@@ -7,67 +7,54 @@
 //! ```
 //!
 //! With `--store PATH` (or the `TIA_STORE` environment variable),
-//! every per-configuration activity measurement is keyed through the
-//! content-addressed measurement store at `PATH`: finished points are
-//! answered from the store, only points whose canonical input hash is
-//! absent are simulated, and a warm re-run produces byte-identical
-//! output while simulating nothing (see docs/performance.md). An
-//! interrupted run resumes the same way — the store is append-only,
-//! so whatever completed before the interrupt is never re-simulated.
-//!
-//! `--partial PATH` is the historical spelling of `--store PATH` and
-//! still works; a pre-store JSON partial file found at `PATH` is moved
-//! aside and regenerated, never trusted.
+//! every run behind the suite-averaged activity is keyed through the
+//! measurement store at `PATH` (see docs/performance.md): stored runs
+//! are decoded, only runs whose canonical input hash is absent are
+//! simulated, and a warm re-run produces byte-identical output while
+//! simulating nothing. An interrupted run resumes the same way — the
+//! store is append-only, so whatever completed before the interrupt is
+//! never re-simulated.
 //!
 //! `--expect-warm` turns the run into a cache-integrity gate: the
-//! process exits nonzero if any point had to be simulated (CI runs a
+//! process exits nonzero if any run had to be simulated (CI runs a
 //! sweep twice against one store and asserts the second run is fully
 //! warm with byte-identical output).
 
 use std::fs;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tia_bench::{scale_from_args, store_path_from_args, sweep_through_store};
+use tia_bench::{scale_from_args, RunStore};
+use tia_core::UarchConfig;
+use tia_energy::dse::par_explore;
 use tia_energy::pareto::pareto_frontier;
 
 fn main() -> ExitCode {
     let scale = scale_from_args();
     let args: Vec<String> = std::env::args().collect();
-    let flag_value = |flags: &[&str]| {
-        args.iter()
-            .position(|a| flags.contains(&a.as_str()))
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let output = flag_value(&["-o", "--output"]);
+    let output = args
+        .iter()
+        .position(|a| a == "-o" || a == "--output")
+        .and_then(|i| args.get(i + 1).cloned());
     let expect_warm = args.iter().any(|a| a == "--expect-warm");
-    // `--partial` predates the store and keeps working as an alias;
-    // `store_path_from_args` handles `--store` and `TIA_STORE`.
-    let store = flag_value(&["--partial"])
-        .map(PathBuf::from)
-        .or_else(store_path_from_args);
 
-    let points = match &store {
-        Some(path) => {
-            let (points, _lookups, simulated) = sweep_through_store(scale, path);
-            if expect_warm && simulated > 0 {
-                eprintln!(
-                    "dse_export: --expect-warm, but {simulated} point(s) were \
-                     not in the store at {} and had to be simulated",
-                    path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-            points
-        }
-        None => {
-            if expect_warm {
-                eprintln!("dse_export: --expect-warm needs --store PATH (or TIA_STORE)");
-                return ExitCode::FAILURE;
-            }
-            tia_bench::suite_design_points(scale)
-        }
-    };
+    let runs = RunStore::from_args(scale);
+    if expect_warm && runs.store().is_none() {
+        eprintln!("dse_export: --expect-warm needs --store PATH (or TIA_STORE)");
+        return ExitCode::FAILURE;
+    }
+    let points = par_explore(&|c: &UarchConfig| runs.suite_activity(c));
+    runs.report();
+    if expect_warm && runs.simulated() > 0 {
+        eprintln!(
+            "dse_export: --expect-warm, but {} run(s) were not in the store \
+             and had to be simulated",
+            runs.simulated()
+        );
+        return ExitCode::FAILURE;
+    }
+    // The JSON export below is this process's memory peak; release the
+    // store's in-memory index before it.
+    drop(runs);
     let frontier = pareto_frontier(&points);
 
     #[derive(serde::Serialize)]

@@ -7,7 +7,7 @@
 //! depth.
 
 use serde::Serialize;
-use tia_bench::{json_out_from_args, run_uarch_workload, scale_from_args, write_json, Table};
+use tia_bench::{json_out_from_args, scale_from_args, suite_keys, write_json, RunStore, Table};
 use tia_core::{Pipeline, UarchConfig};
 use tia_workloads::ALL_WORKLOADS;
 
@@ -27,9 +27,9 @@ fn main() {
     let mut freq_sum = 0.0;
     let mut acc_sum = 0.0;
     let mut acc_count = 0usize;
-    let runs = tia_par::par_map(&ALL_WORKLOADS, |&kind| {
-        run_uarch_workload(kind, config, scale)
-    });
+    let store = RunStore::from_args(scale);
+    let runs = store.runs(&suite_keys(&[config]));
+    store.report();
     for run in &runs {
         let kind = run.kind;
         let c = run.counters;

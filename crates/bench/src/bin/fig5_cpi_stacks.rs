@@ -5,11 +5,11 @@
 
 use serde::Serialize;
 use tia_bench::{
-    coarse_stack, json_out_from_args, run_uarch_workload, scale_from_args, write_json, Table,
+    activity_of, json_out_from_args, scale_from_args, suite_keys, write_json, RunStore, Table,
 };
 use tia_core::{CpiStack, Pipeline, UarchConfig};
 use tia_prof::{Leaf, LeafShares};
-use tia_workloads::{WorkloadKind, ALL_WORKLOADS};
+use tia_workloads::ALL_WORKLOADS;
 
 #[derive(Serialize)]
 struct StackPoint {
@@ -36,24 +36,16 @@ fn main() {
         }
     }
 
-    // One simulation per (microarchitecture, workload) cell, fanned
-    // across the worker pool; the ordered merge keeps the averages
-    // bit-identical to the old nested serial loops.
-    let cells: Vec<(UarchConfig, WorkloadKind)> = configs
-        .iter()
-        .flat_map(|&config| ALL_WORKLOADS.iter().map(move |&kind| (config, kind)))
-        .collect();
-    let stacks = tia_par::par_map(&cells, |&(config, kind)| {
-        let run = run_uarch_workload(kind, config, scale);
-        let coarse = coarse_stack(&run);
-        (run.counters.cpi_stack(), coarse.shares(coarse.total()))
-    });
-    let averages: Vec<(CpiStack, LeafShares)> = stacks
+    // One run per (microarchitecture, workload) cell; each bar
+    // averages its ten runs in workload order.
+    let store = RunStore::from_args(scale);
+    let runs = store.runs(&suite_keys(&configs));
+    store.report();
+    let averages: Vec<(CpiStack, LeafShares)> = runs
         .chunks(ALL_WORKLOADS.len())
         .map(|chunk| {
-            let cpi: Vec<CpiStack> = chunk.iter().map(|&(c, _)| c).collect();
-            let shares: Vec<LeafShares> = chunk.iter().map(|&(_, s)| s).collect();
-            (CpiStack::average(&cpi), LeafShares::average(&shares))
+            let cpi: Vec<CpiStack> = chunk.iter().map(|r| r.counters.cpi_stack()).collect();
+            (CpiStack::average(&cpi), activity_of(chunk).stack)
         })
         .collect();
 

@@ -5,8 +5,9 @@
 //! by 20-25% in both energy and delay").
 
 use serde::Serialize;
-use tia_bench::{json_out_from_args, scale_from_args, suite_design_points, write_json, Table};
-use tia_energy::dse::DesignPoint;
+use tia_bench::{json_out_from_args, scale_from_args, write_json, RunStore, Table};
+use tia_core::UarchConfig;
+use tia_energy::dse::{par_explore, DesignPoint};
 use tia_energy::pareto::{frontier_energy_improvement, pareto_frontier};
 
 #[derive(Serialize)]
@@ -42,7 +43,9 @@ fn frontier_points(frontier: &[DesignPoint]) -> Vec<FrontierPoint> {
 
 fn main() {
     let scale = scale_from_args();
-    let points = suite_design_points(scale);
+    let runs = RunStore::from_args(scale);
+    let points = par_explore(&|c: &UarchConfig| runs.suite_activity(c));
+    runs.report();
 
     // The balanced region of Figure 7: delays up to 10 ns/instruction.
     let balanced: Vec<DesignPoint> = points

@@ -2,12 +2,16 @@
 //! Pareto-optimal designs, including the §5.4 power-density
 //! comparison against 65 nm CPUs and GPUs.
 
-use tia_bench::{scale_from_args, suite_design_points, Table};
+use tia_bench::{scale_from_args, RunStore, Table};
+use tia_core::UarchConfig;
+use tia_energy::dse::par_explore;
 use tia_energy::pareto::{density_context, pareto_frontier, span};
 
 fn main() {
     let scale = scale_from_args();
-    let points = suite_design_points(scale);
+    let runs = RunStore::from_args(scale);
+    let points = par_explore(&|c: &UarchConfig| runs.suite_activity(c));
+    runs.report();
     let frontier = pareto_frontier(&points);
 
     println!(

@@ -9,22 +9,24 @@
 //! frequency, this harness shows where pipelining's headroom can be
 //! spent on the paper's best balanced pipeline (T|DX +P+Q).
 
-use tia_bench::{scale_from_args, suite_activity_source, Table};
+use tia_bench::{activity_of, scale_from_args, suite_keys, RunStore, Table};
 use tia_core::{Pipeline, UarchConfig};
 use tia_energy::dse::evaluate;
 use tia_energy::max_frequency_mhz;
 use tia_energy::tech::VtClass;
+use tia_workloads::ALL_WORKLOADS;
 
 fn main() {
     let scale = scale_from_args();
-    let source = suite_activity_source(scale);
     let vt = VtClass::Standard;
 
     let baseline_config = UarchConfig::base(Pipeline::TDX);
     let config = UarchConfig::with_pq(Pipeline::T_DX);
-    // The two suite measurements are independent; run them together.
-    let measured = tia_par::par_map(&[baseline_config, config], &source);
-    let (baseline_activity, activity) = (measured[0], measured[1]);
+    let store = RunStore::from_args(scale);
+    let runs = store.runs(&suite_keys(&[baseline_config, config]));
+    store.report();
+    let (baseline_runs, runs) = runs.split_at(ALL_WORKLOADS.len());
+    let (baseline_activity, activity) = (activity_of(baseline_runs), activity_of(runs));
 
     let f_tdx = (max_frequency_mhz(&baseline_config, 1.0, vt) / 10.0).floor() * 10.0;
     let baseline = evaluate(&baseline_config, vt, 1.0, f_tdx, baseline_activity)

@@ -1,18 +1,18 @@
 //! Shared measurement plumbing: run workloads on the cycle-level
-//! model and expose activity to the energy model's design-space
-//! exploration.
-
-use std::path::{Path, PathBuf};
+//! model and fold runs into the activity the energy model's
+//! design-space exploration consumes.
 
 use tia_core::{UarchConfig, UarchCounters, UarchPe};
-use tia_energy::dse::{par_explore, CpiMeasurement, DesignPoint};
-use tia_energy::{CheckpointedCpi, SweepContext};
+use tia_energy::dse::CpiMeasurement;
 use tia_fabric::FastForwardStats;
 use tia_isa::Params;
 use tia_prof::{CycleStack, LeafShares};
 use tia_workloads::{Scale, WorkloadKind};
 
-/// The outcome of running one workload on one microarchitecture.
+use crate::store::RunKey;
+
+/// The outcome of running one workload on one microarchitecture: what
+/// the run store keeps per run.
 #[derive(Debug, Clone, Copy)]
 pub struct MeasuredRun {
     /// The workload.
@@ -24,34 +24,38 @@ pub struct MeasuredRun {
     /// Global system cycles of the run (≥ the worker's own cycles;
     /// the excess is the worker's halted tail).
     pub system_cycles: u64,
-    /// Fast-forward engine effectiveness over the run.
-    pub ff: FastForwardStats,
 }
 
 /// Runs one workload to completion on the cycle-level model and
-/// returns the worker's counters. Results are verified against the
-/// golden model before returning.
+/// returns the worker's counters, plus how much the fast-forward
+/// engine skipped (which depends on `TIA_FAST_FORWARD`, not on the
+/// run's key, so it is not part of the run). Results are verified
+/// against the golden model before returning.
 ///
 /// # Panics
 ///
 /// Panics if the workload fails to build, run or verify — these are
 /// harness bugs, not user errors.
-pub fn run_uarch_workload(kind: WorkloadKind, config: UarchConfig, scale: Scale) -> MeasuredRun {
-    let params = Params::default();
+pub fn run_uarch_workload(key: &RunKey, scale: Scale) -> (MeasuredRun, FastForwardStats) {
+    let RunKey {
+        kind,
+        ref params,
+        config,
+    } = *key;
     let mut factory = |p: &Params, prog| UarchPe::new(p, config, prog);
     let mut built = kind
-        .build(&params, scale, &mut factory)
+        .build(params, scale, &mut factory)
         .unwrap_or_else(|e| panic!("{kind} on {config}: build failed: {e}"));
     built
         .run_to_completion()
         .unwrap_or_else(|e| panic!("{kind} on {config}: {e}"));
-    MeasuredRun {
+    let run = MeasuredRun {
         kind,
         config,
         counters: *built.system.pe(built.worker).counters(),
         system_cycles: built.system.cycle(),
-        ff: built.system.fast_forward_stats(),
-    }
+    };
+    (run, built.system.fast_forward_stats())
 }
 
 /// The worker PE's coarse hierarchical cycle stack, derived from its
@@ -78,58 +82,30 @@ pub fn coarse_stack(run: &MeasuredRun) -> CycleStack {
     stack
 }
 
-/// A [`tia_energy::dse::CpiSource`] backed by the `bst` workload, as
-/// in the paper's methodology: "we extracted gate-level activity
-/// factors from a run of the binary search tree program", which "had
-/// the most balanced combination of I/O channel use, computation and
-/// memory access delay" (§3).
-pub fn bst_activity_source(scale: Scale) -> impl Fn(&UarchConfig) -> CpiMeasurement + Sync {
-    move |config: &UarchConfig| activity_of(&run_uarch_workload(WorkloadKind::Bst, *config, scale))
-}
-
-/// The CPI/activity measurement the DSE consumes, derived from one
-/// measured run. Shared so ad-hoc sources (e.g. `dse_bench`'s
-/// cycle-counting wrapper) produce exactly what
-/// [`bst_activity_source`] would.
-pub fn activity_of(run: &MeasuredRun) -> CpiMeasurement {
-    let c = run.counters;
-    let stack = coarse_stack(run);
-    let shares = stack.shares(stack.total());
-    CpiMeasurement {
-        cpi: c.cpi(),
-        issue_rate: (c.retired + c.quashed) as f64 / c.cycles.max(1) as f64,
-        stack: shares,
-        bottleneck: shares.bottleneck(),
+/// The CPI/activity measurement the DSE consumes, averaged over
+/// `runs` in order: one `bst` run is the paper's power-activity
+/// reference (§3), and one run per workload of the suite is the delay
+/// model of the design-space exploration and the Figure 5 averages —
+/// the paper's Figure 8 instruction latencies imply a suite-level CPI
+/// (≈1.6 at TDX1|X2 +Q), not the memory-serial `bst` CPI.
+pub fn activity_of(runs: &[MeasuredRun]) -> CpiMeasurement {
+    let mut cpi_sum = 0.0;
+    let mut issue_sum = 0.0;
+    let mut shares = Vec::with_capacity(runs.len());
+    for run in runs {
+        let c = run.counters;
+        cpi_sum += c.cpi();
+        issue_sum += (c.retired + c.quashed) as f64 / c.cycles.max(1) as f64;
+        let stack = coarse_stack(run);
+        shares.push(stack.shares(stack.total()));
     }
-}
-
-/// A [`tia_energy::dse::CpiSource`] averaging CPI and issue rate over
-/// the whole ten-workload suite, matching the Figure 5 averages. This
-/// is the delay model for the design-space exploration: the paper's
-/// Figure 8 instruction latencies imply a suite-level CPI (≈1.6 at
-/// TDX1|X2 +Q), not the memory-serial `bst` CPI, while `bst` remains
-/// the *power activity* reference (§3).
-pub fn suite_activity_source(scale: Scale) -> impl Fn(&UarchConfig) -> CpiMeasurement + Sync {
-    move |config: &UarchConfig| {
-        let mut cpi_sum = 0.0;
-        let mut issue_sum = 0.0;
-        let mut stacks = [LeafShares::default(); tia_workloads::ALL_WORKLOADS.len()];
-        for (i, kind) in tia_workloads::ALL_WORKLOADS.into_iter().enumerate() {
-            let run = run_uarch_workload(kind, *config, scale);
-            let c = run.counters;
-            cpi_sum += c.cpi();
-            issue_sum += (c.retired + c.quashed) as f64 / c.cycles.max(1) as f64;
-            let stack = coarse_stack(&run);
-            stacks[i] = stack.shares(stack.total());
-        }
-        let n = tia_workloads::ALL_WORKLOADS.len() as f64;
-        let stack = LeafShares::average(&stacks);
-        CpiMeasurement {
-            cpi: cpi_sum / n,
-            issue_rate: issue_sum / n,
-            stack,
-            bottleneck: stack.bottleneck(),
-        }
+    let n = runs.len().max(1) as f64;
+    let stack = LeafShares::average(&shares);
+    CpiMeasurement {
+        cpi: cpi_sum / n,
+        issue_rate: issue_sum / n,
+        stack,
+        bottleneck: stack.bottleneck(),
     }
 }
 
@@ -151,88 +127,6 @@ pub fn scale_from_args() -> Scale {
     }
 }
 
-/// The store-key label for an input scale. Part of every measurement
-/// key, so test-scale records can never answer a paper-scale sweep.
-pub fn scale_label(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Paper => "paper",
-    }
-}
-
-/// The sweep context the suite-averaged figure/table sweeps key their
-/// measurements under (see [`suite_activity_source`]).
-pub fn suite_context(scale: Scale) -> SweepContext {
-    SweepContext::new("suite", scale_label(scale))
-}
-
-/// Reads the measurement-store path from `--store PATH` or the
-/// `TIA_STORE` environment variable (the flag wins). Returns `None`
-/// when neither is set — sweeps then simulate everything, as before
-/// the store existed.
-///
-/// # Panics
-///
-/// Panics on a present-but-useless value — `--store` without a path,
-/// an empty/whitespace path, or non-UTF-8 `TIA_STORE` — rather than
-/// silently running the sweep uncached.
-pub fn store_path_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--store") {
-        let path = args
-            .get(i + 1)
-            .unwrap_or_else(|| panic!("--store needs a PATH argument"));
-        assert!(
-            !path.trim().is_empty(),
-            "--store needs a non-empty PATH argument"
-        );
-        return Some(PathBuf::from(path));
-    }
-    match std::env::var("TIA_STORE") {
-        Ok(path) => {
-            assert!(
-                !path.trim().is_empty(),
-                "invalid TIA_STORE value: empty; set a store file path or unset it"
-            );
-            Some(PathBuf::from(path))
-        }
-        Err(std::env::VarError::NotPresent) => None,
-        Err(std::env::VarError::NotUnicode(_)) => {
-            panic!("invalid TIA_STORE value: not valid UTF-8")
-        }
-    }
-}
-
-/// Runs the suite-averaged sweep through the measurement store at
-/// `path`, returning the design points plus how many were answered
-/// from the store vs simulated. A stale store file at `path` is
-/// discarded and regenerated (see
-/// [`tia_energy::open_measurement_store`]).
-pub fn sweep_through_store(scale: Scale, path: &Path) -> (Vec<DesignPoint>, u64, u64) {
-    let source = CheckpointedCpi::resume(suite_activity_source(scale), path, suite_context(scale))
-        .unwrap_or_else(|e| panic!("cannot open measurement store {}: {e}", path.display()));
-    let points = par_explore(&source);
-    eprintln!(
-        "measurement store {}: {} point(s) answered from store, {} simulated",
-        path.display(),
-        source.lookups(),
-        source.misses()
-    );
-    (points, source.lookups(), source.misses())
-}
-
-/// The full suite-averaged design-space sweep every figure/table
-/// binary consumes. When a store path is configured (see
-/// [`store_path_from_args`]) the sweep is keyed through the
-/// content-addressed measurement store, so repeated regenerations
-/// re-simulate only points whose inputs changed.
-pub fn suite_design_points(scale: Scale) -> Vec<DesignPoint> {
-    match store_path_from_args() {
-        Some(path) => sweep_through_store(scale, &path).0,
-        None => par_explore(&suite_activity_source(scale)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,37 +134,31 @@ mod tests {
 
     #[test]
     fn a_measured_run_verifies_and_reports() {
-        let run = run_uarch_workload(
-            WorkloadKind::Gcd,
-            UarchConfig::with_pq(Pipeline::T_DX),
-            Scale::Test,
-        );
+        let key = RunKey::new(WorkloadKind::Gcd, UarchConfig::with_pq(Pipeline::T_DX));
+        let (run, _) = run_uarch_workload(&key, Scale::Test);
         assert!(run.counters.retired > 30);
         assert!(run.counters.cycles >= run.counters.retired);
     }
 
     #[test]
     fn activity_carries_a_normalized_stack() {
-        let run = run_uarch_workload(
-            WorkloadKind::Bst,
-            UarchConfig::with_pq(Pipeline::T_D_X1_X2),
-            Scale::Test,
-        );
+        let key = RunKey::new(WorkloadKind::Bst, UarchConfig::with_pq(Pipeline::T_D_X1_X2));
+        let (run, ff) = run_uarch_workload(&key, Scale::Test);
         assert!(run.system_cycles >= run.counters.cycles);
         let stack = coarse_stack(&run);
         assert_eq!(stack.total(), run.system_cycles.max(run.counters.cycles));
-        let m = activity_of(&run);
+        let m = activity_of(&[run]);
         assert!((m.stack.total() - 1.0).abs() < 1e-9, "shares normalize");
         assert_eq!(m.bottleneck, m.stack.bottleneck());
         // The fast-forward counters reflect the engine's default-on
         // run: probes never undercount hits.
-        assert!(run.ff.probes >= run.ff.probe_hits);
+        assert!(ff.probes >= ff.probe_hits);
     }
 
     #[test]
     fn bst_activity_is_sane() {
-        let source = bst_activity_source(Scale::Test);
-        let m = source(&UarchConfig::base(Pipeline::TDX));
+        let key = RunKey::new(WorkloadKind::Bst, UarchConfig::base(Pipeline::TDX));
+        let m = activity_of(&[run_uarch_workload(&key, Scale::Test).0]);
         assert!(m.cpi >= 1.0);
         assert!(m.issue_rate > 0.0 && m.issue_rate <= 1.0);
         // CPI and issue rate are reciprocal for an unpipelined design

@@ -310,28 +310,6 @@ impl UarchConfig {
         v
     }
 
-    /// The number of microarchitectures in the closed
-    /// [`UarchConfig::all`] population.
-    pub const DENSE_COUNT: usize = 32;
-
-    /// This configuration's position in [`UarchConfig::all`], or
-    /// `None` for configurations outside the closed 32-member
-    /// population (nested speculation, non-default predictors,
-    /// padded output queues). The sweep harnesses use this as a
-    /// perfect-hash memo-table key, keeping `HashMap` hashing (which
-    /// walks the whole struct per lookup) out of the DSE inner loop.
-    pub fn dense_index(&self) -> Option<usize> {
-        if self.speculation_depth != 1
-            || self.predictor != PredictorKind::TwoBit
-            || self.padded_output_queues
-        {
-            return None;
-        }
-        let feature =
-            (self.effective_queue_status as usize) << 1 | self.predicate_prediction as usize;
-        Some(self.pipeline.figure_order_index() * 4 + feature)
-    }
-
     /// The paper's suffix notation (``""``, ``" +P"``, ``" +Q"``,
     /// ``" +P+Q"``).
     pub fn feature_suffix(&self) -> &'static str {
@@ -403,27 +381,6 @@ mod tests {
         for c in &all {
             assert!(set.insert(c.to_string()));
         }
-    }
-
-    #[test]
-    fn dense_index_enumerates_the_population_in_order() {
-        for (i, config) in UarchConfig::all().iter().enumerate() {
-            assert_eq!(config.dense_index(), Some(i), "{config}");
-        }
-        assert_eq!(UarchConfig::all().len(), UarchConfig::DENSE_COUNT);
-        // Configurations outside the closed population have no slot.
-        assert_eq!(
-            UarchConfig::with_nested(Pipeline::T_DX, 2).dense_index(),
-            None
-        );
-        assert_eq!(
-            UarchConfig::with_predictor(Pipeline::T_DX, PredictorKind::OneBit).dense_index(),
-            None
-        );
-        assert_eq!(
-            UarchConfig::with_padding(Pipeline::T_DX).dense_index(),
-            None
-        );
     }
 
     #[test]

@@ -9,9 +9,6 @@
 //! [`crate::area_power`] that inflate designs synthesized close to
 //! their critical-path limit.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
 use serde::{Deserialize, Serialize};
 
 use tia_core::UarchConfig;
@@ -77,51 +74,6 @@ where
     }
 }
 
-/// A memoizing wrapper so each microarchitecture is simulated once per
-/// sweep.
-///
-/// The 32 configurations of [`UarchConfig::all`] occupy a precomputed
-/// dense-index array ([`UarchConfig::dense_index`]) — a perfect hash,
-/// so the sweep inner loop never hashes a `UarchConfig` (which walks
-/// every struct field per lookup). Configurations outside the closed
-/// population (ablations) fall back to a `HashMap`.
-#[derive(Debug)]
-pub struct CachedCpi<S> {
-    source: S,
-    dense: [Option<CpiMeasurement>; UarchConfig::DENSE_COUNT],
-    overflow: HashMap<UarchConfig, CpiMeasurement>,
-}
-
-impl<S: CpiSource> CachedCpi<S> {
-    /// Wraps a source with memoization.
-    pub fn new(source: S) -> Self {
-        CachedCpi {
-            source,
-            dense: [None; UarchConfig::DENSE_COUNT],
-            overflow: HashMap::new(),
-        }
-    }
-}
-
-impl<S: CpiSource> CpiSource for CachedCpi<S> {
-    fn measure(&mut self, config: &UarchConfig) -> CpiMeasurement {
-        if let Some(i) = config.dense_index() {
-            if let Some(m) = self.dense[i] {
-                return m;
-            }
-            let m = self.source.measure(config);
-            self.dense[i] = Some(m);
-            return m;
-        }
-        if let Some(m) = self.overflow.get(config) {
-            return *m;
-        }
-        let m = self.source.measure(config);
-        self.overflow.insert(*config, m);
-        m
-    }
-}
-
 /// A shared-state (`&self`) CPI supplier, the parallel counterpart of
 /// [`CpiSource`]: [`par_explore`] fans measurements across threads, so
 /// the source must hand out measurements through a shared reference.
@@ -136,54 +88,6 @@ where
 {
     fn measure(&self, config: &UarchConfig) -> CpiMeasurement {
         self(config)
-    }
-}
-
-/// A sharded, lock-protected memo table over a [`SyncCpiSource`]: one
-/// mutex per microarchitecture slot, so concurrent measurements of
-/// *different* configurations proceed in parallel while a second
-/// request for the *same* configuration blocks until the first
-/// finishes and then reuses its result (each microarchitecture is
-/// simulated exactly once per sweep, as with [`CachedCpi`]).
-#[derive(Debug)]
-pub struct SharedCpi<S> {
-    source: S,
-    dense: [Mutex<Option<CpiMeasurement>>; UarchConfig::DENSE_COUNT],
-    overflow: Mutex<HashMap<UarchConfig, CpiMeasurement>>,
-}
-
-impl<S: SyncCpiSource> SharedCpi<S> {
-    /// Wraps a source with a parallel-safe memo table.
-    pub fn new(source: S) -> Self {
-        SharedCpi {
-            source,
-            dense: std::array::from_fn(|_| Mutex::new(None)),
-            overflow: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl<S: SyncCpiSource> SyncCpiSource for SharedCpi<S> {
-    fn measure(&self, config: &UarchConfig) -> CpiMeasurement {
-        if let Some(i) = config.dense_index() {
-            let mut slot = self.dense[i].lock().expect("no poisoned shard");
-            if let Some(m) = *slot {
-                return m;
-            }
-            let m = self.source.measure(config);
-            *slot = Some(m);
-            return m;
-        }
-        // Exotic configurations share one lock; they are ablation-only
-        // and never on the 32-way sweep's hot path. The lock is held
-        // across the measurement so a config is still simulated once.
-        let mut overflow = self.overflow.lock().expect("no poisoned overflow table");
-        if let Some(m) = overflow.get(config) {
-            return *m;
-        }
-        let m = self.source.measure(config);
-        overflow.insert(*config, m);
-        m
     }
 }
 
@@ -322,11 +226,10 @@ fn sweep_config(
 /// frequency sweep. Returns only the feasible (timing-closed) points —
 /// "over 4,000 different design points".
 pub fn explore<S: CpiSource>(source: &mut S) -> Vec<DesignPoint> {
-    let mut cached = CachedCpi::new(|c: &UarchConfig| source.measure(c));
     let grid = operating_grid();
     let mut points = Vec::new();
     for config in UarchConfig::all() {
-        let activity = cached.measure(&config);
+        let activity = source.measure(&config);
         points.extend(sweep_config(&config, activity, &grid));
     }
     points
@@ -479,41 +382,6 @@ mod tests {
         for (a, b) in serial.iter().zip(parallel.iter()) {
             assert_eq!(a, b, "ordering or values diverge");
         }
-    }
-
-    #[test]
-    fn shared_cpi_measures_each_config_once_across_threads() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let calls = AtomicU64::new(0);
-        let shared = SharedCpi::new(|_: &UarchConfig| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            CpiMeasurement::ideal()
-        });
-        let configs: Vec<UarchConfig> = UarchConfig::all()
-            .into_iter()
-            .chain(UarchConfig::all())
-            .collect();
-        tia_par::par_map_with(4, &configs, |c| shared.measure(c));
-        assert_eq!(calls.load(Ordering::Relaxed), 32);
-        // The overflow path memoizes too.
-        let exotic = UarchConfig::with_nested(Pipeline::T_DX, 3);
-        let _ = shared.measure(&exotic);
-        let _ = shared.measure(&exotic);
-        assert_eq!(calls.load(Ordering::Relaxed), 33);
-    }
-
-    #[test]
-    fn cache_avoids_remeasuring() {
-        let mut calls = 0;
-        let mut cached = CachedCpi::new(|_: &UarchConfig| {
-            calls += 1;
-            CpiMeasurement::ideal()
-        });
-        let config = UarchConfig::base(Pipeline::TDX);
-        let _ = cached.measure(&config);
-        let _ = cached.measure(&config);
-        drop(cached);
-        assert_eq!(calls, 1);
     }
 
     #[test]

@@ -43,22 +43,16 @@
 #![warn(missing_debug_implementations)]
 
 pub mod area_power;
-pub mod checkpoint;
 pub mod critical_path;
 pub mod dse;
 pub mod pareto;
-pub mod store;
 pub mod tech;
 
 pub use area_power::{Component, InstMemMedium};
-pub use checkpoint::{CheckpointedCpi, DSE_PARTIAL_KIND};
 pub use critical_path::{critical_path_fo4, max_frequency_mhz};
 pub use dse::{
-    evaluate, explore, par_explore, par_explore_with, CachedCpi, CpiMeasurement, CpiSource,
-    DesignPoint, SharedCpi, SyncCpiSource,
+    evaluate, explore, par_explore, par_explore_with, CpiMeasurement, CpiSource, DesignPoint,
+    SyncCpiSource,
 };
 pub use pareto::{frontier_energy_improvement, pareto_frontier, span};
-pub use store::{
-    open_measurement_store, StoreReset, StoredCpi, SweepContext, MEASUREMENT_SCHEMA_VERSION,
-};
 pub use tech::VtClass;

@@ -26,7 +26,7 @@
 //!
 //! Like `tia-par`, the crate is std-only (the `serde` dependency is
 //! the workspace's vendored stub, used purely as the value data
-//! model). Higher layers (`tia-energy::store`) define what goes into
+//! model). Higher layers (`tia-bench`'s run store) define what goes into
 //! a key; this crate only promises that equal content means equal
 //! key and that what was stored comes back byte-identical.
 

@@ -6,7 +6,8 @@
 //! store replays the log into a `HashMap`; a torn tail (the process
 //! died mid-append) fails its frame or digest check, is dropped, and
 //! the file is truncated back to the last whole record — every record
-//! before it survives. Writes append under a sibling lock file, so
+//! before it survives. Appends, the header write of a fresh file and
+//! the cut of a torn tail all happen under a sibling lock file, so
 //! several sweep processes can share one store: the worst race is two
 //! processes measuring the same point and appending two identical
 //! records, which last-wins replay makes harmless (measurements are
@@ -14,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -65,14 +66,10 @@ pub enum StoreError {
         /// The layout version this build supports.
         supported: u32,
     },
-    /// The file exists but is not a store (wrong magic). JSON content
-    /// is called out specially: it is a legacy `--partial` checkpoint
-    /// from before the content-addressed store existed.
+    /// The file exists but is not a store (wrong magic).
     NotAStore {
         /// The file involved.
         path: PathBuf,
-        /// Whether the content looks like a legacy JSON partial file.
-        legacy_json: bool,
     },
 }
 
@@ -91,16 +88,8 @@ impl std::fmt::Display for StoreError {
                 f,
                 "store layout version {found} is not supported (this build reads {supported})"
             ),
-            StoreError::NotAStore { path, legacy_json } => {
-                if *legacy_json {
-                    write!(
-                        f,
-                        "{} is a legacy JSON partial checkpoint, not a measurement store",
-                        path.display()
-                    )
-                } else {
-                    write!(f, "{} is not a measurement store", path.display())
-                }
+            StoreError::NotAStore { path } => {
+                write!(f, "{} is not a measurement store", path.display())
             }
         }
     }
@@ -218,65 +207,43 @@ impl Store {
             .create(true)
             .open(&path)
             .map_err(|e| io_err(&path, e))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(|e| io_err(&path, e))?;
-
-        if bytes.is_empty() {
-            let mut header = Vec::with_capacity(HEADER_LEN);
-            header.extend_from_slice(STORE_MAGIC);
-            header.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-            header.extend_from_slice(&schema.to_le_bytes());
-            let _lock = LockFile::acquire(&path)?;
-            file.write_all(&header).map_err(|e| io_err(&path, e))?;
-            return Ok(Store {
-                path,
-                schema,
-                dropped_tail_bytes: 0,
-                inner: Mutex::new(Inner {
-                    file,
-                    index: HashMap::new(),
-                }),
-            });
+        let bytes = read_all(&mut file, &path)?;
+        let mut clean = None;
+        // A file shorter than a header may be another opener's header
+        // write in progress; it is judged under the lock below.
+        if bytes.len() >= HEADER_LEN {
+            let (index, valid_end) = replay(&bytes, schema, &path)?;
+            if valid_end == bytes.len() {
+                clean = Some(index);
+            }
         }
-
-        if bytes.len() < HEADER_LEN || &bytes[..8] != STORE_MAGIC {
-            return Err(StoreError::NotAStore {
-                legacy_json: bytes.first().is_some_and(|b| *b == b'{'),
-                path,
-            });
-        }
-        let format = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if format != STORE_FORMAT_VERSION {
-            return Err(StoreError::Format {
-                found: format,
-                supported: STORE_FORMAT_VERSION,
-            });
-        }
-        let found_schema = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-        if found_schema != schema {
-            return Err(StoreError::Schema {
-                found: found_schema,
-                expected: schema,
-            });
-        }
-
-        // Replay whole records; stop at the first frame that does not
-        // parse or verify (a torn append) and drop everything after.
-        let mut index = HashMap::new();
-        let mut at = HEADER_LEN;
-        let mut valid_end = at;
-        while at < bytes.len() {
-            let Some(record_end) = parse_record(&bytes[at..], &mut index) else {
-                break;
-            };
-            at += record_end;
-            valid_end = at;
-        }
-        let dropped_tail_bytes = (bytes.len() - valid_end) as u64;
-        if dropped_tail_bytes > 0 {
-            file.set_len(valid_end as u64)
-                .map_err(|e| io_err(&path, e))?;
-        }
+        let mut dropped_tail_bytes = 0;
+        let index = match clean {
+            Some(index) => index,
+            None => {
+                // Writing the header of a fresh file and cutting a torn
+                // tail both rewrite the file. Do either only under the
+                // append lock and on what the file holds once the lock
+                // is ours: another opener may have written the header
+                // since, and a "torn" tail may be an append still in
+                // progress.
+                let _lock = LockFile::acquire(&path)?;
+                let mut bytes = read_all(&mut file, &path)?;
+                if bytes.is_empty() {
+                    bytes.extend_from_slice(STORE_MAGIC);
+                    bytes.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
+                    bytes.extend_from_slice(&schema.to_le_bytes());
+                    file.write_all(&bytes).map_err(|e| io_err(&path, e))?;
+                }
+                let (index, valid_end) = replay(&bytes, schema, &path)?;
+                if valid_end < bytes.len() {
+                    file.set_len(valid_end as u64)
+                        .map_err(|e| io_err(&path, e))?;
+                    dropped_tail_bytes = (bytes.len() - valid_end) as u64;
+                }
+                index
+            }
+        };
         Ok(Store {
             path,
             schema,
@@ -357,6 +324,54 @@ impl Store {
     }
 }
 
+/// Reads the whole log file from its start.
+fn read_all(file: &mut File, path: &Path) -> Result<Vec<u8>, StoreError> {
+    let mut bytes = Vec::new();
+    file.seek(SeekFrom::Start(0))
+        .and_then(|_| file.read_to_end(&mut bytes))
+        .map_err(|e| io_err(path, e))?;
+    Ok(bytes)
+}
+
+/// Checks a non-empty log's header and replays its whole records into
+/// an index; returns the index and the end of the last whole record.
+/// Replay stops at the first frame that does not parse or verify (a
+/// torn append).
+fn replay(
+    bytes: &[u8],
+    schema: u32,
+    path: &Path,
+) -> Result<(HashMap<Hash, Vec<u8>>, usize), StoreError> {
+    if bytes.len() < HEADER_LEN || &bytes[..8] != STORE_MAGIC {
+        return Err(StoreError::NotAStore {
+            path: path.to_path_buf(),
+        });
+    }
+    let format = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    if format != STORE_FORMAT_VERSION {
+        return Err(StoreError::Format {
+            found: format,
+            supported: STORE_FORMAT_VERSION,
+        });
+    }
+    let found_schema = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
+    if found_schema != schema {
+        return Err(StoreError::Schema {
+            found: found_schema,
+            expected: schema,
+        });
+    }
+    let mut index = HashMap::new();
+    let mut at = HEADER_LEN;
+    while at < bytes.len() {
+        let Some(record_len) = parse_record(&bytes[at..], &mut index) else {
+            break;
+        };
+        at += record_len;
+    }
+    Ok((index, at))
+}
+
 /// Parses one record at the head of `bytes`, inserting it into
 /// `index`; returns the record's total length, or `None` when the
 /// bytes do not form a whole, digest-verified record.
@@ -424,11 +439,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_is_detected() {
-        let path = temp_store("legacy.json");
+    fn json_files_are_not_stores() {
+        let path = temp_store("not_a_store.json");
         std::fs::write(&path, "{\"format_version\": 1}").expect("write");
         match Store::open(&path, 1) {
-            Err(StoreError::NotAStore { legacy_json, .. }) => assert!(legacy_json),
+            Err(StoreError::NotAStore { .. }) => {}
             other => panic!("expected NotAStore, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);

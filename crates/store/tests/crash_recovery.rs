@@ -1,8 +1,10 @@
 //! Crash-recovery behavior of the append-only log: a record torn by
 //! a mid-append kill is dropped on the next open, every earlier
 //! record survives, and the store keeps accepting appends afterwards.
+//! Concurrent openers of one file never clobber each other's records.
 
 use std::path::PathBuf;
+use std::sync::Barrier;
 
 use tia_store::{sha256, Store};
 
@@ -87,4 +89,39 @@ fn empty_and_header_only_files_open_clean() {
     assert!(back.is_empty());
     assert_eq!(back.dropped_tail_bytes(), 0);
     let _ = std::fs::remove_file(&path);
+}
+
+/// Several processes open one store at once when the experiment suite
+/// starts. Writing the header of a fresh file and cutting a torn tail
+/// both rewrite the file, so an opener that did either without the
+/// append lock could write a second header or cut a live append, and
+/// every record after that point would be dropped on the next open.
+#[test]
+fn concurrent_openers_lose_no_records() {
+    const OPENERS: usize = 8;
+    for round in 0..50 {
+        let path = temp_store(&format!("race-{round}.store"));
+        let barrier = Barrier::new(OPENERS);
+        std::thread::scope(|s| {
+            for t in 0..OPENERS {
+                let (path, barrier) = (&path, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    let store = Store::open(path, 1).expect("open");
+                    let payload = format!("record {t} from a concurrent opener");
+                    store
+                        .put(sha256(&[t as u8]), payload.as_bytes())
+                        .expect("put");
+                });
+            }
+        });
+        let back = Store::open(&path, 1).expect("reopen");
+        assert_eq!(
+            (back.len(), back.dropped_tail_bytes()),
+            (OPENERS, 0),
+            "round {round}: records lost to a concurrent open"
+        );
+        drop(back);
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -277,8 +277,8 @@ mod tests {
     #[test]
     fn workload_names_are_pinned() {
         // Measurement-store keys embed workload names (see
-        // tia_energy::SweepContext), so renaming one silently orphans
-        // every stored measurement for it. Rename only together with a
+        // tia_bench::RunKey), so renaming one silently orphans every
+        // stored run of it. Rename only together with a
         // MEASUREMENT_SCHEMA_VERSION bump.
         let names: Vec<&str> = ALL_WORKLOADS.iter().map(|w| w.name()).collect();
         assert_eq!(

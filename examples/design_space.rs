@@ -9,14 +9,14 @@
 //! ```
 
 use tia::core::{UarchConfig, UarchPe};
-use tia::energy::dse::{explore, CachedCpi, CpiMeasurement};
+use tia::energy::dse::{explore, CpiMeasurement};
 use tia::energy::pareto::{pareto_frontier, span};
 use tia::isa::Params;
 use tia::workloads::{Scale, WorkloadKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = Params::default();
-    let bst_activity = |config: &UarchConfig| -> CpiMeasurement {
+    let mut bst_activity = |config: &UarchConfig| -> CpiMeasurement {
         let mut factory = |p: &Params, prog| UarchPe::new(p, *config, prog);
         let mut built = WorkloadKind::Bst
             .build(&params, Scale::Test, &mut factory)
@@ -30,8 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     };
 
-    let mut source = CachedCpi::new(bst_activity);
-    let points = explore(&mut source);
+    let points = explore(&mut bst_activity);
     let frontier = pareto_frontier(&points);
     let (e_span, d_span) = span(&points);
 

@@ -41,13 +41,15 @@ timing_dir="$(mktemp -d)"
 trap 'rm -rf "$timing_dir"' EXIT
 cargo build --release -p tia-bench -p tia-asm
 
-# One content-addressed measurement store shared by every sweep in the
-# suite (fig6/7/8 and dse_export all key their per-configuration
-# activity measurements through it). Keys embed workload, scale, ISA
-# parameters and microarchitecture, so test- and paper-scale runs
-# coexist in one file; concurrent experiments serialize appends
-# through the store's lock file. A warm store turns every repeated
-# sweep into pure lookups; an interrupted suite resumes the same way.
+# One content-addressed measurement store shared by the whole suite:
+# every experiment that simulates workloads (sec1, fig4-fig8, the three
+# ablations and dse_export) stores one record per run and reads the
+# runs it shares with the others from it, so each distinct run is
+# simulated once. Keys embed workload, scale, ISA parameters and
+# microarchitecture, so test- and paper-scale runs coexist in one
+# file; concurrent experiments serialize appends through the store's
+# lock file. A warm store turns every repeated experiment into pure
+# lookups; an interrupted suite resumes the same way.
 STORE="results/store/measurements.store"
 export TIA_STORE="$STORE"
 

@@ -2,7 +2,7 @@
 //! cycle-level activity (the small-input `bst`, as in §3 methodology).
 
 use tia::core::{Pipeline, UarchConfig, UarchPe};
-use tia::energy::dse::{evaluate, explore, CachedCpi, CpiMeasurement};
+use tia::energy::dse::{evaluate, explore, CpiMeasurement};
 use tia::energy::pareto::{density_context, frontier_energy_improvement, pareto_frontier, span};
 use tia::energy::tech::VtClass;
 use tia::energy::{critical_path_fo4, max_frequency_mhz};
@@ -35,8 +35,7 @@ fn suite_activity() -> impl FnMut(&UarchConfig) -> CpiMeasurement {
 
 #[test]
 fn the_design_space_reproduces_the_papers_headline_spans() {
-    let mut source = CachedCpi::new(suite_activity());
-    let points = explore(&mut source);
+    let points = explore(&mut suite_activity());
     assert!(points.len() > 4_000, "{} points", points.len());
     let (e_span, d_span) = span(&points);
     // Paper: 71x energy, 225x delay. The shape claim: both spans are
@@ -47,8 +46,7 @@ fn the_design_space_reproduces_the_papers_headline_spans() {
 
 #[test]
 fn optimizations_improve_the_balanced_frontier() {
-    let mut source = CachedCpi::new(suite_activity());
-    let points = explore(&mut source);
+    let points = explore(&mut suite_activity());
     let balanced: Vec<_> = points
         .iter()
         .copied()
@@ -101,8 +99,7 @@ fn optimizations_improve_the_balanced_frontier() {
 
 #[test]
 fn pareto_designs_sit_below_cpu_and_gpu_power_density() {
-    let mut source = CachedCpi::new(suite_activity());
-    let points = explore(&mut source);
+    let points = explore(&mut suite_activity());
     let frontier = pareto_frontier(&points);
     assert!(!frontier.is_empty());
     for p in &frontier {
@@ -120,8 +117,7 @@ fn pareto_designs_sit_below_cpu_and_gpu_power_density() {
 fn high_performance_extreme_is_a_split_alu_two_stager_in_lvt() {
     // Figure 8: the fastest design is TDX1|X2 +Q in low-VT at
     // ~1157 MHz with 1.37 ns/instruction.
-    let mut source = CachedCpi::new(suite_activity());
-    let points = explore(&mut source);
+    let points = explore(&mut suite_activity());
     let frontier = pareto_frontier(&points);
     let fastest = frontier.first().expect("non-empty");
     assert_eq!(fastest.vt, VtClass::Low, "fastest design uses low VT");
