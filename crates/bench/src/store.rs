@@ -603,6 +603,43 @@ mod tests {
         let _ = std::fs::remove_file(stale_path(&path));
     }
 
+    /// After a stale-schema reset the fresh file is a working store:
+    /// a run simulated once is answered from it, in this process and
+    /// the next.
+    #[test]
+    fn stale_schema_stores_are_discarded_and_regenerated() {
+        let path = temp_path("stale_regenerated.store");
+        let old = Store::open(&path, MEASUREMENT_SCHEMA_VERSION + 7).expect("seed store");
+        old.put(tia_store::sha256(b"whatever"), b"poisoned")
+            .expect("seed record");
+        drop(old);
+
+        let key = RunKey::new(WorkloadKind::Gcd, UarchConfig::base(Pipeline::TDX));
+        let (runs, reset) = RunStore::open(&path, Scale::Test).expect("open resets");
+        assert_eq!(
+            reset,
+            Some(StoreReset::StaleSchema {
+                found: MEASUREMENT_SCHEMA_VERSION + 7
+            })
+        );
+        let first = runs.runs(std::slice::from_ref(&key));
+        let second = runs.runs(std::slice::from_ref(&key));
+        assert_eq!(
+            (runs.simulated(), runs.hits()),
+            (1, 1),
+            "simulated once, then answered from the store"
+        );
+        assert_eq!(first[0].counters, second[0].counters);
+        drop(runs);
+
+        let reopened = open(&path);
+        assert_eq!(reopened.store().expect("stored").len(), 1);
+        let _ = reopened.runs(&[key]);
+        assert_eq!((reopened.hits(), reopened.simulated()), (1, 0));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(stale_path(&path));
+    }
+
     #[test]
     fn non_store_files_are_moved_aside() {
         let path = temp_path("not_a_store.json");
