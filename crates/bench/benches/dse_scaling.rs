@@ -13,7 +13,7 @@ use tia_workloads::{Scale, WorkloadKind};
 fn bench_dse_scaling(c: &mut Criterion) {
     let source = |config: &UarchConfig| {
         let key = RunKey::new(WorkloadKind::Bst, *config);
-        activity_of(&[run_uarch_workload(&key, Scale::Test).0])
+        activity_of(&[run_uarch_workload(&key, Scale::Test)])
     };
     let mut group = c.benchmark_group("dse_scaling");
     group.bench_function("serial", |b| {

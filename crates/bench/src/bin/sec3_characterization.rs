@@ -5,12 +5,13 @@
 //! frequencies of 100MHz to 1.5GHz"; LVT/HVT at 0.4–1.0 V with
 //! near-threshold refinement).
 
-use tia_bench::Table;
+use tia_bench::{json_out_from_args, Table};
 use tia_core::{Pipeline, UarchConfig};
 use tia_energy::critical_path::{critical_path_fo4, max_frequency_mhz};
 use tia_energy::tech::VtClass;
 
 fn main() {
+    json_out_from_args();
     for vt in VtClass::ALL {
         println!(
             "{} library (Vth = {:.2} V): maximum closing frequency in MHz",

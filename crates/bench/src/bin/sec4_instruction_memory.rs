@@ -1,10 +1,11 @@
 //! Regenerates the **§4 instruction-storage study**: register, latch
 //! and mixed register/latch-SRAM instruction memories.
 
-use tia_bench::Table;
+use tia_bench::{json_out_from_args, Table};
 use tia_energy::area_power::{Component, InstMemMedium, TDX_AREA_UM2, TDX_POWER_MW};
 
 fn main() {
+    json_out_from_args();
     let base_area = TDX_AREA_UM2 * Component::InstructionMemory.area_fraction();
     let base_power = TDX_POWER_MW * Component::InstructionMemory.power_fraction();
 

@@ -1,10 +1,11 @@
 //! Regenerates **Table 1**: architectural and microarchitectural
 //! parameters.
 
-use tia_bench::Table;
+use tia_bench::{json_out_from_args, Table};
 use tia_isa::{Params, NUM_DSTS, NUM_OPS, NUM_SRCS};
 
 fn main() {
+    json_out_from_args();
     let p = Params::default();
     let mut t = Table::new(&["Parameter", "Description", "Value"]);
     t.row_owned(vec![

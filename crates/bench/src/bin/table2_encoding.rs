@@ -1,10 +1,11 @@
 //! Regenerates **Table 2**: instruction fields and their widths under
 //! the default parameter assignment.
 
-use tia_bench::Table;
+use tia_bench::{json_out_from_args, Table};
 use tia_isa::Params;
 
 fn main() {
+    json_out_from_args();
     let params = Params::default();
     let layout = params.layout();
     let mut t = Table::new(&["Field", "Description", "Width", "Offset"]);

@@ -4,11 +4,11 @@
 
 use tia_core::{UarchConfig, UarchCounters, UarchPe};
 use tia_energy::dse::CpiMeasurement;
-use tia_fabric::FastForwardStats;
 use tia_isa::Params;
 use tia_prof::{CycleStack, LeafShares};
 use tia_workloads::{Scale, WorkloadKind};
 
+use crate::jsonout::json_out_from_args;
 use crate::store::RunKey;
 
 /// The outcome of running one workload on one microarchitecture: what
@@ -27,16 +27,14 @@ pub struct MeasuredRun {
 }
 
 /// Runs one workload to completion on the cycle-level model and
-/// returns the worker's counters, plus how much the fast-forward
-/// engine skipped (which depends on `TIA_FAST_FORWARD`, not on the
-/// run's key, so it is not part of the run). Results are verified
-/// against the golden model before returning.
+/// returns the worker's counters. Results are verified against the
+/// golden model before returning.
 ///
 /// # Panics
 ///
 /// Panics if the workload fails to build, run or verify — these are
 /// harness bugs, not user errors.
-pub fn run_uarch_workload(key: &RunKey, scale: Scale) -> (MeasuredRun, FastForwardStats) {
+pub fn run_uarch_workload(key: &RunKey, scale: Scale) -> MeasuredRun {
     let RunKey {
         kind,
         ref params,
@@ -49,13 +47,12 @@ pub fn run_uarch_workload(key: &RunKey, scale: Scale) -> (MeasuredRun, FastForwa
     built
         .run_to_completion()
         .unwrap_or_else(|e| panic!("{kind} on {config}: {e}"));
-    let run = MeasuredRun {
+    MeasuredRun {
         kind,
         config,
         counters: *built.system.pe(built.worker).counters(),
         system_cycles: built.system.cycle(),
-    };
-    (run, built.system.fast_forward_stats())
+    }
 }
 
 /// The worker PE's coarse hierarchical cycle stack, derived from its
@@ -112,14 +109,11 @@ pub fn activity_of(runs: &[MeasuredRun]) -> CpiMeasurement {
 /// Parses the common harness flags: `--test-scale` selects the small
 /// input set, otherwise the paper-scale inputs are used.
 ///
-/// Also honours `--no-fast-forward`, which disables the fabric's
-/// fast-forward engine for the whole process (every `System` built
-/// afterwards reads the `TIA_FAST_FORWARD` environment variable), so
-/// each figure/table binary can be A/B-compared without code changes.
+/// # Panics
+///
+/// Panics on a malformed `--json` flag (see [`json_out_from_args`]).
 pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--no-fast-forward") {
-        std::env::set_var("TIA_FAST_FORWARD", "0");
-    }
+    json_out_from_args();
     if std::env::args().any(|a| a == "--test-scale") {
         Scale::Test
     } else {
@@ -135,7 +129,7 @@ mod tests {
     #[test]
     fn a_measured_run_verifies_and_reports() {
         let key = RunKey::new(WorkloadKind::Gcd, UarchConfig::with_pq(Pipeline::T_DX));
-        let (run, _) = run_uarch_workload(&key, Scale::Test);
+        let run = run_uarch_workload(&key, Scale::Test);
         assert!(run.counters.retired > 30);
         assert!(run.counters.cycles >= run.counters.retired);
     }
@@ -143,22 +137,19 @@ mod tests {
     #[test]
     fn activity_carries_a_normalized_stack() {
         let key = RunKey::new(WorkloadKind::Bst, UarchConfig::with_pq(Pipeline::T_D_X1_X2));
-        let (run, ff) = run_uarch_workload(&key, Scale::Test);
+        let run = run_uarch_workload(&key, Scale::Test);
         assert!(run.system_cycles >= run.counters.cycles);
         let stack = coarse_stack(&run);
         assert_eq!(stack.total(), run.system_cycles.max(run.counters.cycles));
         let m = activity_of(&[run]);
         assert!((m.stack.total() - 1.0).abs() < 1e-9, "shares normalize");
         assert_eq!(m.bottleneck, m.stack.bottleneck());
-        // The fast-forward counters reflect the engine's default-on
-        // run: probes never undercount hits.
-        assert!(ff.probes >= ff.probe_hits);
     }
 
     #[test]
     fn bst_activity_is_sane() {
         let key = RunKey::new(WorkloadKind::Bst, UarchConfig::base(Pipeline::TDX));
-        let m = activity_of(&[run_uarch_workload(&key, Scale::Test).0]);
+        let m = activity_of(&[run_uarch_workload(&key, Scale::Test)]);
         assert!(m.cpi >= 1.0);
         assert!(m.issue_rate > 0.0 && m.issue_rate <= 1.0);
         // CPI and issue rate are reciprocal for an unpipelined design

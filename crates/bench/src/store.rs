@@ -307,7 +307,7 @@ impl RunStore {
         let misses: Vec<usize> = (0..keys.len()).filter(|&i| found[i].is_none()).collect();
         let fresh = tia_par::par_map_with(workers, &misses, |&i| {
             let key = &keys[i];
-            let (run, _) = run_uarch_workload(key, self.scale);
+            let run = run_uarch_workload(key, self.scale);
             if let Some(store) = &self.store {
                 if let Err(e) = store.put(key.hash(self.scale), &encode_run(&run)) {
                     // A failed persist must not kill the experiment; it
@@ -394,7 +394,7 @@ mod tests {
     #[test]
     fn records_roundtrip_bit_exactly() {
         let key = RunKey::new(WorkloadKind::Gcd, UarchConfig::with_pq(Pipeline::T_DX));
-        let (run, _) = run_uarch_workload(&key, Scale::Test);
+        let run = run_uarch_workload(&key, Scale::Test);
         let back = decode_run(&key, &encode_run(&run)).expect("decodes");
         assert_eq!(back.counters, run.counters);
         assert_eq!(back.system_cycles, run.system_cycles);
@@ -537,7 +537,7 @@ mod tests {
         let mut issue_sum = 0.0;
         let mut stacks = Vec::new();
         for kind in ALL_WORKLOADS {
-            let (run, _) = run_uarch_workload(&RunKey::new(kind, config), Scale::Test);
+            let run = run_uarch_workload(&RunKey::new(kind, config), Scale::Test);
             let c = run.counters;
             cpi_sum += c.cpi();
             issue_sum += (c.retired + c.quashed) as f64 / c.cycles.max(1) as f64;

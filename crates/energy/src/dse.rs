@@ -254,8 +254,9 @@ pub fn par_explore_with<S: SyncCpiSource>(workers: usize, source: &S) -> Vec<Des
 
 /// [`par_explore_with`] returning the scheduler's per-worker
 /// [`tia_par::ParStats`] alongside the points, so scaling harnesses
-/// (`dse_bench`) can report worker utilization next to the measured
-/// speedup. The points are bit-identical to [`explore`].
+/// (the `dse_seeded` benchmark workload) can report worker
+/// utilization next to the measured speedup. The points are
+/// bit-identical to [`explore`].
 pub fn par_explore_stats_with<S: SyncCpiSource>(
     workers: usize,
     source: &S,
@@ -373,14 +374,33 @@ mod tests {
         assert!(dmax / dmin > 50.0);
     }
 
+    /// A CPI that depends on pipeline depth, +P and +Q, so a
+    /// measurement handed to the wrong configuration changes the points.
+    fn config_cpi(config: &UarchConfig) -> CpiMeasurement {
+        let depth = config.pipeline.depth() as f64;
+        let p = f64::from(u8::from(config.predicate_prediction));
+        let q = f64::from(u8::from(config.effective_queue_status));
+        let cpi = 1.2 + 0.3 * depth - 0.15 * p - 0.05 * q;
+        CpiMeasurement {
+            cpi,
+            issue_rate: 1.0 / cpi,
+            ..CpiMeasurement::default()
+        }
+    }
+
     #[test]
     fn par_explore_is_bit_identical_to_explore() {
-        let mut serial_source = flat_cpi;
+        let mut serial_source = config_cpi;
         let serial = explore(&mut serial_source);
-        let parallel = par_explore(&flat_cpi);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(parallel.iter()) {
-            assert_eq!(a, b, "ordering or values diverge");
+        let default_run = (tia_par::worker_count(), par_explore(&config_cpi));
+        let runs = [1, 2, 4].map(|w| (w, par_explore_with(w, &config_cpi)));
+        for (workers, parallel) in std::iter::once(default_run).chain(runs) {
+            assert_eq!(serial.len(), parallel.len(), "{workers} workers");
+            let diverged = serial.iter().zip(&parallel).position(|(a, b)| a != b);
+            assert_eq!(
+                diverged, None,
+                "{workers} workers: ordering or values diverge"
+            );
         }
     }
 

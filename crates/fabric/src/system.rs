@@ -217,9 +217,8 @@ pub struct System<P> {
     /// branch per transferred token.
     tracer: Option<RingTracer>,
     /// Whether [`System::run_until`] may fast-forward across provably
-    /// inert spans (see [`System::idle_horizon`]). Defaults to the
-    /// `TIA_FAST_FORWARD` environment variable (off when set to `0`,
-    /// `false`, `off` or `no`; on otherwise).
+    /// inert spans (see [`System::idle_horizon`]). Always on for a new
+    /// system; only [`System::set_fast_forward`] turns it off.
     fast_forward: bool,
     /// Fast-forward effectiveness counters. Non-architectural: not
     /// part of [`SystemState`], so snapshots stay bit-identical with
@@ -253,10 +252,10 @@ const PROBE_YIELD_FLOOR: u64 = 16;
 /// Effectiveness counters for the quiescence-aware fast-forward
 /// engine: how often the idle-horizon probe ran, how often it found a
 /// skippable span, and how many cycles were bulk-skipped instead of
-/// stepped. Harness binaries (`dse_bench`) report these per
-/// configuration so the engine's observed speedup can be explained by
-/// data (a compute-dense sweep skips almost nothing; an idle-dominated
-/// run skips almost everything).
+/// stepped. The `tia-benchmark` workloads report these so the engine's
+/// observed speedup can be explained by data (a compute-dense sweep
+/// skips almost nothing; an idle-dominated run skips almost
+/// everything).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct FastForwardStats {
     /// Idle-horizon probes performed.
@@ -269,40 +268,6 @@ pub struct FastForwardStats {
     /// Probes suppressed by the exponential unproductive-probe backoff
     /// (idle cycles that would have probed without it).
     pub suppressed_probes: u64,
-}
-
-/// Parses a `TIA_FAST_FORWARD`-style boolean toggle. Accepts
-/// `1`/`true`/`on`/`yes` and `0`/`false`/`off`/`no` (case-insensitive,
-/// whitespace-trimmed); anything else — including an empty string — is
-/// an error naming the variable and the offending value, never a
-/// silent default.
-pub fn parse_toggle(name: &str, value: &str) -> Result<bool, String> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Ok(true),
-        "0" | "false" | "off" | "no" => Ok(false),
-        _ => Err(format!(
-            "invalid {name} value `{value}`: expected one of 1/true/on/yes or 0/false/off/no"
-        )),
-    }
-}
-
-/// Reads the `TIA_FAST_FORWARD` environment variable: unset enables
-/// fast-forwarding (the default), otherwise the value must parse via
-/// [`parse_toggle`] — a malformed value panics with a clear message
-/// rather than being quietly treated as "on". This is the default for
-/// every new [`System`]; CLI tools use it to pick their own
-/// fast-forward default so one knob controls both.
-pub fn fast_forward_from_env() -> bool {
-    match std::env::var("TIA_FAST_FORWARD") {
-        Ok(v) => match parse_toggle("TIA_FAST_FORWARD", &v) {
-            Ok(enabled) => enabled,
-            Err(message) => panic!("{message}"),
-        },
-        Err(std::env::VarError::NotPresent) => true,
-        Err(std::env::VarError::NotUnicode(_)) => {
-            panic!("invalid TIA_FAST_FORWARD value: not valid UTF-8")
-        }
-    }
 }
 
 impl<P: ProcessingElement> System<P> {
@@ -319,7 +284,7 @@ impl<P: ProcessingElement> System<P> {
             links: Vec::new(),
             cycle: 0,
             tracer: None,
-            fast_forward: fast_forward_from_env(),
+            fast_forward: true,
             ff_stats: FastForwardStats::default(),
             probe_misses: 0,
             probe_cooldown: 0,
@@ -450,15 +415,17 @@ impl<P: ProcessingElement> System<P> {
     }
 
     /// Whether [`System::run_until`] may fast-forward across provably
-    /// inert spans.
+    /// inert spans: `false` only on the stepped reference path selected
+    /// with [`System::set_fast_forward`].
     pub fn fast_forward(&self) -> bool {
         self.fast_forward
     }
 
-    /// Enables or disables fast-forwarding (overriding the
-    /// `TIA_FAST_FORWARD` default). Fast-forwarding is exact — counters,
-    /// traces and checkpoints are bit-identical either way — so this
-    /// knob exists for differential testing and benchmarking.
+    /// Enables or disables fast-forwarding (on for every new system).
+    /// Fast-forwarding is exact — counters, traces and checkpoints are
+    /// bit-identical either way — so turning it off only selects the
+    /// stepped reference path that the fast-forward differential tests
+    /// and the `fast_forward` criterion bench compare against.
     pub fn set_fast_forward(&mut self, enable: bool) {
         self.fast_forward = enable;
         self.probe_misses = 0;
@@ -1018,26 +985,6 @@ mod tests {
     use super::*;
     use crate::queue::Token;
 
-    #[test]
-    fn toggle_accepts_the_documented_spellings() {
-        for on in ["1", "true", "on", "yes", "TRUE", " On ", "YES"] {
-            assert_eq!(parse_toggle("TIA_FAST_FORWARD", on), Ok(true), "{on}");
-        }
-        for off in ["0", "false", "off", "no", "FALSE", " Off ", "NO"] {
-            assert_eq!(parse_toggle("TIA_FAST_FORWARD", off), Ok(false), "{off}");
-        }
-    }
-
-    #[test]
-    fn toggle_rejects_empty_and_garbage_loudly() {
-        for bad in ["", " ", "2", "-1", "enabled", "tru", "offf", "０"] {
-            let err = parse_toggle("TIA_FAST_FORWARD", bad)
-                .expect_err("malformed toggles must not default silently");
-            assert!(err.contains("TIA_FAST_FORWARD"), "{bad:?}: {err}");
-            assert!(err.contains("expected one of"), "{bad:?}: {err}");
-        }
-    }
-
     /// A trivial PE that copies input 0 to output 0 each cycle.
     #[derive(Debug)]
     struct CopyPe {
@@ -1293,6 +1240,27 @@ mod tests {
         // One real step, then a single bulk skip to the limit.
         assert_eq!(sys.pe(0).stepped, 1_000_000);
         assert_eq!(sys.pe(0).skipped, 999_999);
+    }
+
+    /// No environment variable turns the engine off: re-running the
+    /// test above in a child process with the variable that used to
+    /// switch it off set to `0` must still see a fast-forwarding system.
+    #[test]
+    fn the_environment_cannot_switch_fast_forward_off() {
+        let test = "system::tests::fast_forward_jumps_an_inert_system_to_the_limit";
+        let exe = std::env::current_exe().expect("test executable path");
+        let output = std::process::Command::new(exe)
+            .args([test, "--exact", "--test-threads=1"])
+            .env("TIA_FAST_FORWARD", "0")
+            .output()
+            .expect("re-run the test executable");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            output.status.success(),
+            "{test} failed with the old off switch set:\n{stdout}{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        assert!(stdout.contains("1 passed"), "{test} did not run:\n{stdout}");
     }
 
     #[test]

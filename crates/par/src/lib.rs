@@ -43,10 +43,11 @@ use std::time::{Duration, Instant};
 
 /// Per-worker effectiveness of one parallel map: how many items each
 /// worker claimed and how long it spent executing them, plus the wall
-/// clock of the whole map. Benchmark harnesses (`dse_bench`) report
-/// these so scaling results can be explained by data — a sweep whose
-/// slowest worker is busy 95% of the wall clock is balance-limited by
-/// physics, not by the scheduler; one at 50% points at chunking.
+/// clock of the whole map. Benchmark harnesses (`tia-benchmark`'s
+/// `dse_seeded` workload) report these so scaling results can be
+/// explained by data — a sweep whose slowest worker is busy 95% of the
+/// wall clock is balance-limited by physics, not by the scheduler; one
+/// at 50% points at chunking.
 #[derive(Debug, Clone, Default)]
 pub struct ParStats {
     /// Workers actually spawned (after clamping to the item count).

@@ -104,7 +104,6 @@ struct Options {
     checkpoint_out: Option<String>,
     resume: Option<String>,
     watchdog: Option<u64>,
-    fast_forward: bool,
 }
 
 /// Everything beyond the PE itself that the simulation loop carries:
@@ -166,7 +165,6 @@ fn parse_args() -> Result<Options, String> {
     let mut checkpoint_out = None;
     let mut resume = None;
     let mut watchdog = None;
-    let mut fast_forward = tia_fabric::fast_forward_from_env();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--params" => {
@@ -238,7 +236,6 @@ fn parse_args() -> Result<Options, String> {
                 checkpoint_out = Some(args.next().ok_or("--checkpoint-out needs a file")?);
             }
             "--resume" => resume = Some(args.next().ok_or("--resume needs a file")?),
-            "--no-fast-forward" => fast_forward = false,
             "--watchdog" => {
                 let window: u64 = args
                     .next()
@@ -260,7 +257,7 @@ fn parse_args() -> Result<Options, String> {
                             [--cpi-window N] [--profile] [--profile-out FILE] \
                             [--checkpoint-every N] \
                             [--checkpoint-out FILE] [--resume FILE] \
-                            [--watchdog N] [--no-fast-forward] <program>"
+                            [--watchdog N] <program>"
                         .to_string(),
                 )
             }
@@ -333,7 +330,6 @@ fn parse_args() -> Result<Options, String> {
         checkpoint_out,
         resume,
         watchdog,
-        fast_forward,
     })
 }
 
@@ -535,7 +531,7 @@ fn simulate<T: Tracer>(
         // quiet headroom, with skipped cycles credited via
         // `note_skipped`). The result is bit-identical to the
         // cycle-by-cycle run.
-        if opts.fast_forward && cycle < opts.max_cycles && pe.is_quiescent() {
+        if cycle < opts.max_cycles && pe.is_quiescent() {
             let mut skip = opts.max_cycles - cycle;
             for (_, tokens, next, period) in &streams {
                 if *next < tokens.len() {
