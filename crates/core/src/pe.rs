@@ -27,8 +27,6 @@
 //! trigger stage); results commit at the end of the final execute
 //! stage and are visible to the scheduler the following cycle.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize, Value};
 use tia_fabric::{ProcessingElement, QueueState, RestoreError, Snapshotable, TaggedQueue, Token};
 use tia_isa::{
@@ -142,9 +140,10 @@ struct IdleKey {
 pub struct UarchPe<T: Tracer = NullTracer> {
     params: Params,
     config: UarchConfig,
-    /// The interned program: shared, immutable, borrowed on the hot
-    /// path instead of cloning `Instruction`s per cycle.
-    program: Arc<Program>,
+    /// The program, held by value and immutable after construction;
+    /// the hot path borrows its instructions field by field instead of
+    /// cloning them.
+    program: Program,
     regs: Vec<Word>,
     preds: PredState,
     scratchpad: Vec<Word>,
@@ -162,9 +161,9 @@ pub struct UarchPe<T: Tracer = NullTracer> {
     tracer: T,
     /// The program's guards compiled to flat masks and a
     /// predicate-state dispatch table (see [`tia_jit`]): the trigger
-    /// stage's only evaluator. Shared, immutable, derived-only:
-    /// rebuilt at construction, never snapshotted.
-    compiled: Arc<CompiledProgram>,
+    /// stage's only evaluator. Held by value, immutable,
+    /// derived-only: rebuilt at construction, never snapshotted.
+    compiled: CompiledProgram,
     /// The latched pure stall, if the last step was one (see
     /// [`IdleKey`]).
     idle: Option<IdleKey>,
@@ -205,7 +204,7 @@ impl<T: Tracer> UarchPe<T> {
     ) -> Result<Self, IsaError> {
         params.validate()?;
         program.validate(params)?;
-        let compiled = Arc::new(CompiledProgram::compile(&program, params));
+        let compiled = CompiledProgram::compile(&program, params);
         Ok(UarchPe {
             regs: vec![0; params.num_regs],
             preds: PredState::new(),
@@ -239,7 +238,7 @@ impl<T: Tracer> UarchPe<T> {
             tracer,
             params: params.clone(),
             config,
-            program: Arc::new(program),
+            program,
             compiled,
             idle: None,
             pending_deq: [0; 16],
@@ -420,10 +419,7 @@ impl<T: Tracer> UarchPe<T> {
         }
         let flight = self.in_flight.remove(0);
         debug_assert_eq!(flight.spec_level, 0, "speculative head must resolve first");
-        // Borrow the instruction from a local handle on the interned
-        // program: `self` stays mutable, and nothing is cloned.
-        let program = Arc::clone(&self.program);
-        let instruction = &program.instructions()[flight.slot];
+        let instruction = &self.program.instructions()[flight.slot];
 
         // Operand values: registers read with full forwarding are
         // equivalent to reading the committed register file here,
@@ -597,8 +593,7 @@ impl<T: Tracer> UarchPe<T> {
         if self.in_flight[idx].issue_cycle + x_end != self.now {
             return;
         }
-        let program = Arc::clone(&self.program);
-        let instruction = &program.instructions()[self.in_flight[idx].slot];
+        let instruction = &self.program.instructions()[self.in_flight[idx].slot];
         if instruction.op.is_scratchpad() {
             // A scratchpad access cannot resolve early in this model.
             return;
@@ -657,17 +652,16 @@ impl<T: Tracer> UarchPe<T> {
     /// the instruction reaching its decode stage this cycle.
     fn decode_phase(&mut self) {
         let d_off = self.config.pipeline.d_offset();
-        let program = Arc::clone(&self.program);
         for idx in 0..self.in_flight.len() {
             if self.in_flight[idx].d_done || self.in_flight[idx].issue_cycle + d_off != self.now {
                 continue;
             }
-            let slot = self.in_flight[idx].slot;
-            self.run_decode(idx, &program.instructions()[slot]);
+            self.run_decode(idx);
         }
     }
 
-    fn run_decode(&mut self, idx: usize, instruction: &Instruction) {
+    fn run_decode(&mut self, idx: usize) {
+        let instruction = &self.program.instructions()[self.in_flight[idx].slot];
         // Capture queue operands (peek) before this instruction's own
         // dequeues pop them.
         let mut captured = [None; NUM_SRCS];
@@ -956,20 +950,25 @@ impl<T: Tracer> UarchPe<T> {
         }
     }
 
-    /// Scans the given slots in order, issuing the first eligible one;
+    /// Scans the given slots in order for the first eligible one;
     /// classifies the cycle otherwise. Both the interpreted full scan
-    /// and the dispatch-table candidate scan funnel through here.
-    fn scan_slots(&mut self, slots: impl Iterator<Item = usize>, pending_preds: u32) -> CycleClass {
+    /// and the dispatch-table candidate scan funnel through here. It
+    /// only reads, so the candidates can stay borrowed from
+    /// `self.compiled`; the caller issues after the scan.
+    fn scan_slots(
+        &self,
+        slots: impl Iterator<Item = usize>,
+        pending_preds: u32,
+    ) -> Result<usize, CycleClass> {
         let mut best_rank = 0u8;
         for slot in slots {
             let status = self.slot_status(slot, pending_preds);
             if status == SlotStatus::Eligible {
-                self.issue(slot);
-                return CycleClass::Issued;
+                return Ok(slot);
             }
             best_rank = best_rank.max(Self::stall_rank(status));
         }
-        Self::rank_class(best_rank)
+        Err(Self::rank_class(best_rank))
     }
 
     /// Side-effect-free full scan over every slot, for debug
@@ -1044,9 +1043,8 @@ impl<T: Tracer> UarchPe<T> {
         // either way. Otherwise `BlockedPred` needs the stable-bit
         // analysis over *all* slots, and so does a program with too
         // many predicates for a table: scan every compiled slot.
-        let compiled = Arc::clone(&self.compiled);
         let candidates = if pending_preds == 0 || self.config.predicate_prediction {
-            compiled.candidates(self.preds)
+            self.compiled.candidates(self.preds)
         } else {
             None
         };
@@ -1054,9 +1052,16 @@ impl<T: Tracer> UarchPe<T> {
         #[cfg(debug_assertions)]
         let (reference_slot, reference_rank) = self.debug_reference_scan(pending_preds);
 
-        let class = match candidates {
+        let scanned = match candidates {
             Some(slots) => self.scan_slots(slots.iter().map(|&s| s as usize), pending_preds),
             None => self.scan_slots(0..self.program.len(), pending_preds),
+        };
+        let class = match scanned {
+            Ok(slot) => {
+                self.issue(slot);
+                CycleClass::Issued
+            }
+            Err(class) => class,
         };
 
         #[cfg(debug_assertions)]
@@ -1081,8 +1086,7 @@ impl<T: Tracer> UarchPe<T> {
     }
 
     fn issue(&mut self, slot: usize) {
-        let program = Arc::clone(&self.program);
-        let instruction = &program.instructions()[slot];
+        let instruction = &self.program.instructions()[slot];
         let spec_level = self.spec_stack.len();
         if T::ENABLED {
             self.tracer.emit(
@@ -1136,8 +1140,7 @@ impl<T: Tracer> UarchPe<T> {
         // Merged trigger/decode stages do decode work in the issue
         // cycle.
         if self.config.pipeline.d_offset() == 0 {
-            let idx = self.in_flight.len() - 1;
-            self.run_decode(idx, instruction);
+            self.run_decode(self.in_flight.len() - 1);
         }
     }
 
@@ -1388,7 +1391,7 @@ pub struct UarchPeState {
     pub program_len: usize,
     /// Data register file.
     pub regs: Vec<Word>,
-    /// Architectural (possibly speculative) predicate state.
+    /// The (possibly speculative) architectural predicate state.
     pub preds: PredState,
     /// Scratchpad memory.
     pub scratchpad: Vec<Word>,
@@ -1492,7 +1495,7 @@ impl<T: Tracer> ProfileSource for UarchPe<T> {
     }
 
     fn stall_insight(&self) -> StallInsight {
-        // Architectural view of the current trigger state: which
+        // The architectural view of the current trigger state: which
         // queue-side conditions block the slots whose predicate
         // patterns match right now. The profiler only consults this
         // after fresh `not_triggered` cycles; a *pure* stall has an

@@ -99,8 +99,8 @@ struct DispatchTable {
 /// A trigger program compiled to straight-line guard evaluation.
 ///
 /// Construction is cheap (microseconds at paper scale) and done once
-/// per PE at load time; the result is immutable shared data. See the
-/// crate docs for the compilation model.
+/// per PE at load time; each PE holds the immutable result by value.
+/// See the crate docs for the compilation model.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     slots: Vec<CompiledSlot>,

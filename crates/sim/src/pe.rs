@@ -7,13 +7,10 @@
 //! microarchitecture in `tia-core` must match this model's
 //! architectural state and channel traffic exactly.
 
-use std::sync::Arc;
-
 use serde::{Deserialize, Serialize, Value};
 use tia_fabric::{ProcessingElement, QueueState, RestoreError, Snapshotable, TaggedQueue, Token};
 use tia_isa::{
-    alu, DstOperand, Instruction, IsaError, Op, Params, PredState, Program, SrcOperand, Word,
-    NUM_SRCS,
+    alu, DstOperand, IsaError, Op, Params, PredState, Program, SrcOperand, Word, NUM_SRCS,
 };
 use tia_jit::{CompiledProgram, CompiledSlot};
 use tia_trace::{
@@ -70,9 +67,9 @@ struct IdleKey {
 #[derive(Debug, Clone)]
 pub struct FuncPe<T: Tracer = NullTracer> {
     params: Params,
-    /// Shared so the hot loop can borrow an instruction without
-    /// cloning it while `&mut self` executes the datapath.
-    program: Arc<Program>,
+    /// Held by value: the datapath borrows its instructions field by
+    /// field instead of cloning them.
+    program: Program,
     regs: Vec<Word>,
     preds: PredState,
     scratchpad: Vec<Word>,
@@ -132,7 +129,7 @@ impl<T: Tracer> FuncPe<T> {
             pe_id: 0,
             tracer,
             params: params.clone(),
-            program: Arc::new(program),
+            program,
             idle: None,
             compiled,
         })
@@ -249,8 +246,8 @@ impl<T: Tracer> FuncPe<T> {
     /// Whether instruction slot `slot` is eligible to fire under the
     /// current architectural state (the scheduler's trigger
     /// resolution, §2.1), interpreted straight from the
-    /// [`Instruction`]. The reference semantics: stepping runs the
-    /// compiled scan, which debug builds cross-check against this.
+    /// [`tia_isa::Instruction`]. The reference semantics: stepping runs
+    /// the compiled scan, which debug builds cross-check against this.
     pub fn eligible(&self, slot: usize) -> bool {
         let Some(i) = self.program.instructions().get(slot) else {
             return false;
@@ -413,9 +410,7 @@ impl<T: Tracer> FuncPe<T> {
                 },
             );
         }
-        let program = Arc::clone(&self.program);
-        let instruction = &program.instructions()[slot];
-        self.execute(instruction);
+        self.execute(slot);
         if T::ENABLED {
             self.tracer.emit(
                 self.pe_id,
@@ -429,8 +424,9 @@ impl<T: Tracer> FuncPe<T> {
         Some(slot)
     }
 
-    /// Executes one instruction with atomic semantics.
-    fn execute(&mut self, i: &Instruction) {
+    /// Executes the instruction in `slot` with atomic semantics.
+    fn execute(&mut self, slot: usize) {
+        let i = &self.program.instructions()[slot];
         // Operand read. A fixed-size array keeps the per-retirement
         // path allocation-free; unread operand slots stay 0, matching
         // the old `unwrap_or(0)` defaults.
