@@ -24,7 +24,6 @@ use std::fs;
 use std::process::ExitCode;
 
 use tia_bench::{scale_from_args, RunStore};
-use tia_core::UarchConfig;
 use tia_energy::dse::par_explore;
 use tia_energy::pareto::pareto_frontier;
 
@@ -42,7 +41,7 @@ fn main() -> ExitCode {
         eprintln!("dse_export: --expect-warm needs --store PATH (or TIA_STORE)");
         return ExitCode::FAILURE;
     }
-    let points = par_explore(&|c: &UarchConfig| runs.suite_activity(c));
+    let points = par_explore(&runs.population_activity());
     runs.report();
     if expect_warm && runs.simulated() > 0 {
         eprintln!(

@@ -2,14 +2,13 @@
 //! voltage in the design space, with `bst`-derived activity as in §3.
 
 use tia_bench::{scale_from_args, RunStore, Table};
-use tia_core::UarchConfig;
 use tia_energy::dse::{par_explore, DesignPoint};
 use tia_energy::pareto::{pareto_frontier, span};
 
 fn main() {
     let scale = scale_from_args();
     let runs = RunStore::from_args(scale);
-    let points = par_explore(&|c: &UarchConfig| runs.suite_activity(c));
+    let points = par_explore(&runs.population_activity());
     runs.report();
     println!(
         "Figure 6: per-voltage energy-delay frontiers over {} feasible design points.\n",

@@ -6,7 +6,6 @@
 
 use serde::Serialize;
 use tia_bench::{json_out_from_args, scale_from_args, write_json, RunStore, Table};
-use tia_core::UarchConfig;
 use tia_energy::dse::{par_explore, DesignPoint};
 use tia_energy::pareto::{frontier_energy_improvement, pareto_frontier};
 
@@ -44,7 +43,7 @@ fn frontier_points(frontier: &[DesignPoint]) -> Vec<FrontierPoint> {
 fn main() {
     let scale = scale_from_args();
     let runs = RunStore::from_args(scale);
-    let points = par_explore(&|c: &UarchConfig| runs.suite_activity(c));
+    let points = par_explore(&runs.population_activity());
     runs.report();
 
     // The balanced region of Figure 7: delays up to 10 ns/instruction.

@@ -3,14 +3,13 @@
 //! comparison against 65 nm CPUs and GPUs.
 
 use tia_bench::{scale_from_args, RunStore, Table};
-use tia_core::UarchConfig;
 use tia_energy::dse::par_explore;
 use tia_energy::pareto::{density_context, pareto_frontier, span};
 
 fn main() {
     let scale = scale_from_args();
     let runs = RunStore::from_args(scale);
-    let points = par_explore(&|c: &UarchConfig| runs.suite_activity(c));
+    let points = par_explore(&runs.population_activity());
     runs.report();
     let frontier = pareto_frontier(&points);
 

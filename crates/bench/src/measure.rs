@@ -30,11 +30,17 @@ pub struct MeasuredRun {
 /// returns the worker's counters. Results are verified against the
 /// golden model before returning.
 ///
+/// The flag is whether the run is also the run of the key's +Q twin
+/// ([`RunKey::q_twin`]): no PE ever had a trigger decision that the
+/// +Q setting could change (see
+/// [`tia_core::UarchPe::queue_status_mattered`]), so the twin would
+/// simulate cycle-for-cycle the same system.
+///
 /// # Panics
 ///
 /// Panics if the workload fails to build, run or verify — these are
 /// harness bugs, not user errors.
-pub fn run_uarch_workload(key: &RunKey, scale: Scale) -> MeasuredRun {
+pub fn run_uarch_workload(key: &RunKey, scale: Scale) -> (MeasuredRun, bool) {
     let RunKey {
         kind,
         ref params,
@@ -47,12 +53,15 @@ pub fn run_uarch_workload(key: &RunKey, scale: Scale) -> MeasuredRun {
     built
         .run_to_completion()
         .unwrap_or_else(|e| panic!("{kind} on {config}: {e}"));
-    MeasuredRun {
+    let serves_twin =
+        (0..built.system.num_pes()).all(|pe| !built.system.pe(pe).queue_status_mattered());
+    let run = MeasuredRun {
         kind,
         config,
         counters: *built.system.pe(built.worker).counters(),
         system_cycles: built.system.cycle(),
-    }
+    };
+    (run, serves_twin)
 }
 
 /// The worker PE's coarse hierarchical cycle stack, derived from its
@@ -129,7 +138,7 @@ mod tests {
     #[test]
     fn a_measured_run_verifies_and_reports() {
         let key = RunKey::new(WorkloadKind::Gcd, UarchConfig::with_pq(Pipeline::T_DX));
-        let run = run_uarch_workload(&key, Scale::Test);
+        let (run, _) = run_uarch_workload(&key, Scale::Test);
         assert!(run.counters.retired > 30);
         assert!(run.counters.cycles >= run.counters.retired);
     }
@@ -137,7 +146,7 @@ mod tests {
     #[test]
     fn activity_carries_a_normalized_stack() {
         let key = RunKey::new(WorkloadKind::Bst, UarchConfig::with_pq(Pipeline::T_D_X1_X2));
-        let run = run_uarch_workload(&key, Scale::Test);
+        let (run, _) = run_uarch_workload(&key, Scale::Test);
         assert!(run.system_cycles >= run.counters.cycles);
         let stack = coarse_stack(&run);
         assert_eq!(stack.total(), run.system_cycles.max(run.counters.cycles));
@@ -149,7 +158,7 @@ mod tests {
     #[test]
     fn bst_activity_is_sane() {
         let key = RunKey::new(WorkloadKind::Bst, UarchConfig::base(Pipeline::TDX));
-        let m = activity_of(&[run_uarch_workload(&key, Scale::Test)]);
+        let m = activity_of(&[run_uarch_workload(&key, Scale::Test).0]);
         assert!(m.cpi >= 1.0);
         assert!(m.issue_rate > 0.0 && m.issue_rate <= 1.0);
         // CPI and issue rate are reciprocal for an unpipelined design

@@ -12,8 +12,13 @@
 //! activity, suite averages — is folded from runs (see
 //! [`crate::measure`]), so fig4, fig5, the suite-averaged sweeps and
 //! the ablations share every run they have in common: a cold suite
-//! simulates each distinct run once, a warm one simulates nothing,
-//! and an interrupted one resumes from the runs it finished.
+//! simulates each distinct run at most once, a warm one simulates
+//! nothing, and an interrupted one resumes from the runs it finished.
+//!
+//! A run and its +Q twin — the same key with `effective_queue_status`
+//! flipped — are one simulation whenever no trigger decision of the
+//! run depended on that setting (see [`RunKey::q_twin`]): the store
+//! answers both keys from it.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,6 +79,15 @@ impl RunKey {
             ("params".to_string(), self.params.to_value()),
             ("config".to_string(), self.config.to_value()),
         ])
+    }
+
+    /// The same run with the +Q setting (§5.3 effective queue status)
+    /// flipped. A simulation that reports it serves its twin (see
+    /// [`run_uarch_workload`]) answers both keys.
+    pub fn q_twin(&self) -> RunKey {
+        let mut twin = self.clone();
+        twin.config.effective_queue_status = !twin.config.effective_queue_status;
+        twin
     }
 
     /// The content hash addressing this run at `scale`: canonical over
@@ -288,11 +302,18 @@ impl RunStore {
     }
 
     /// The runs of `keys`, in order, with the misses simulated across
-    /// [`tia_par::worker_count`] threads.
+    /// [`tia_par::worker_count`] threads. A simulated run that serves
+    /// its +Q twin (see [`run_uarch_workload`]) also answers the
+    /// twin's key, in this batch and in the store.
     pub fn runs(&self, keys: &[RunKey]) -> Vec<MeasuredRun> {
         self.runs_with(tia_par::worker_count(), keys)
     }
 
+    /// The runs of `keys` with the misses simulated in two waves. The
+    /// first simulates every miss except a +Q key whose non-+Q twin is
+    /// also a miss. Each of those takes its twin's run when that run
+    /// serves it (see [`run_uarch_workload`]); the second wave
+    /// simulates the rest.
     fn runs_with(&self, workers: usize, keys: &[RunKey]) -> Vec<MeasuredRun> {
         let mut found: Vec<Option<MeasuredRun>> = match &self.store {
             Some(store) => keys
@@ -305,44 +326,116 @@ impl RunStore {
             None => vec![None; keys.len()],
         };
         let misses: Vec<usize> = (0..keys.len()).filter(|&i| found[i].is_none()).collect();
-        let fresh = tia_par::par_map_with(workers, &misses, |&i| {
-            let key = &keys[i];
-            let run = run_uarch_workload(key, self.scale);
-            if let Some(store) = &self.store {
-                if let Err(e) = store.put(key.hash(self.scale), &encode_run(&run)) {
-                    // A failed persist must not kill the experiment; it
-                    // just cannot warm the next one from this run.
-                    eprintln!("warning: could not persist measurement: {e}");
+        // Each deferred +Q miss with the index of its non-+Q twin.
+        let deferred: Vec<(usize, usize)> = misses
+            .iter()
+            .filter(|&&i| keys[i].config.effective_queue_status)
+            .filter_map(|&i| {
+                let twin = keys[i].q_twin();
+                let t = misses.iter().copied().find(|&t| keys[t] == twin)?;
+                Some((i, t))
+            })
+            .collect();
+        let first: Vec<usize> = misses
+            .into_iter()
+            .filter(|&i| deferred.iter().all(|&(d, _)| d != i))
+            .collect();
+        let mut serves_twin = vec![false; keys.len()];
+        for (&i, (run, serves)) in first.iter().zip(self.simulate(workers, keys, &first)) {
+            found[i] = Some(run);
+            serves_twin[i] = serves;
+        }
+        let mut second = Vec::new();
+        for (i, t) in deferred {
+            match found[t] {
+                Some(run) if serves_twin[t] => {
+                    found[i] = Some(MeasuredRun {
+                        config: keys[i].config,
+                        ..run
+                    });
                 }
+                _ => second.push(i),
             }
-            run
-        });
-        self.hits
-            .fetch_add((keys.len() - misses.len()) as u64, Ordering::Relaxed);
-        self.simulated
-            .fetch_add(misses.len() as u64, Ordering::Relaxed);
-        for (i, run) in misses.into_iter().zip(fresh) {
+        }
+        for (&i, (run, _)) in second.iter().zip(self.simulate(workers, keys, &second)) {
             found[i] = Some(run);
         }
+        let simulated = (first.len() + second.len()) as u64;
+        self.hits
+            .fetch_add(keys.len() as u64 - simulated, Ordering::Relaxed);
+        self.simulated.fetch_add(simulated, Ordering::Relaxed);
         found
             .into_iter()
-            .map(|run| run.expect("every miss was simulated"))
+            .map(|run| run.expect("every miss was simulated or answered by its twin"))
             .collect()
     }
 
-    /// The suite-averaged activity of `config` (see
-    /// [`activity_of`]): the delay model of the design-space
-    /// exploration. Its runs are simulated on the calling thread, so
-    /// `par_explore(&|c| runs.suite_activity(c))` spreads whole
-    /// configurations across the pool.
-    pub fn suite_activity(&self, config: &UarchConfig) -> CpiMeasurement {
-        activity_of(&self.runs_with(1, &suite_keys(&[*config])))
+    /// Simulates the runs of `keys` at `indices` across `workers`
+    /// threads and stores each. A run that serves its +Q twin is also
+    /// stored under the twin's key when that key is absent: records
+    /// hold no configuration, so those are the bytes simulating the
+    /// twin would write. Returns the runs, in `indices` order, with
+    /// their serves-twin flags.
+    fn simulate(
+        &self,
+        workers: usize,
+        keys: &[RunKey],
+        indices: &[usize],
+    ) -> Vec<(MeasuredRun, bool)> {
+        tia_par::par_map_with(workers, indices, |&i| {
+            let key = &keys[i];
+            let (run, serves_twin) = run_uarch_workload(key, self.scale);
+            if let Some(store) = &self.store {
+                let record = encode_run(&run);
+                let mut hashes = vec![key.hash(self.scale)];
+                let twin = key.q_twin().hash(self.scale);
+                if serves_twin && !store.contains(&twin) {
+                    hashes.push(twin);
+                }
+                for hash in hashes {
+                    if let Err(e) = store.put(hash, &record) {
+                        // A failed persist must not kill the experiment;
+                        // it just cannot warm the next one from this run.
+                        eprintln!("warning: could not persist measurement: {e}");
+                    }
+                }
+            }
+            (run, serves_twin)
+        })
+    }
+
+    /// The suite-averaged activity (see [`activity_of`]) of every
+    /// configuration of [`UarchConfig::all`], as the source
+    /// `par_explore` sweeps: the delay model of the design-space
+    /// exploration. All of the population's runs are fetched in one
+    /// batch up front, so their misses spread run by run across the
+    /// pool and each +Q key can wait for its twin (see
+    /// [`RunStore::runs`]) whatever the worker count.
+    ///
+    /// # Panics
+    ///
+    /// The returned source panics on a configuration outside the
+    /// population.
+    pub fn population_activity(&self) -> impl Fn(&UarchConfig) -> CpiMeasurement + Sync {
+        let configs = UarchConfig::all();
+        let runs = self.runs(&suite_keys(&configs));
+        let activity: Vec<CpiMeasurement> =
+            runs.chunks(ALL_WORKLOADS.len()).map(activity_of).collect();
+        move |config: &UarchConfig| {
+            let i = configs
+                .iter()
+                .position(|c| c == config)
+                .unwrap_or_else(|| panic!("{config} is not in the swept population"));
+            activity[i]
+        }
     }
 
     /// Prints the one-line summary of this process's store use,
     /// `measurement store PATH: N point(s) answered from store, M
-    /// simulated`, where the counts are runs. Prints nothing without a
-    /// store.
+    /// simulated`, where the counts are runs: `M` is the runs this
+    /// process simulated and `N` every other run it was asked for,
+    /// whether read from the store or answered by a simulated +Q twin
+    /// (see [`RunStore::runs`]). Prints nothing without a store.
     pub fn report(&self) {
         if let Some(store) = &self.store {
             eprintln!(
@@ -394,7 +487,7 @@ mod tests {
     #[test]
     fn records_roundtrip_bit_exactly() {
         let key = RunKey::new(WorkloadKind::Gcd, UarchConfig::with_pq(Pipeline::T_DX));
-        let run = run_uarch_workload(&key, Scale::Test);
+        let (run, _) = run_uarch_workload(&key, Scale::Test);
         let back = decode_run(&key, &encode_run(&run)).expect("decodes");
         assert_eq!(back.counters, run.counters);
         assert_eq!(back.system_cycles, run.system_cycles);
@@ -464,18 +557,23 @@ mod tests {
             .iter()
             .find(|&&c| c == cell)
             .expect("the sweep covers every fig5 cell");
-        let _ = runs.suite_activity(&swept);
+        let keys = suite_keys(&[swept]);
+        let suite = runs.runs(&keys);
         assert_eq!(
             (runs.hits(), runs.simulated()),
             (1, ALL_WORKLOADS.len() as u64)
         );
-        assert_eq!(
-            runs.store().expect("stored").len(),
-            ALL_WORKLOADS.len(),
-            "one record per distinct run"
-        );
+        // One record per distinct run, plus one under the +Q twin's key
+        // of each run that serves its twin.
+        let store = runs.store().expect("stored");
+        let twins = keys
+            .iter()
+            .filter(|k| store.contains(&k.q_twin().hash(Scale::Test)))
+            .count();
+        assert_eq!(store.len(), ALL_WORKLOADS.len() + twins);
         let again = runs.runs(&[RunKey::new(WorkloadKind::Gcd, swept)]);
         assert_eq!(again[0].counters, fig5[0].counters);
+        assert_eq!(suite[0].counters, fig5[0].counters);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -493,9 +591,10 @@ mod tests {
         assert_eq!(first.simulated(), 2);
         drop(first);
 
-        // Second run: the two finished runs come from the file.
+        // Second run: the two finished runs come from the file, each
+        // also stored under its +Q twin's key (gcd never trips).
         let resumed = open(&path);
-        assert_eq!(resumed.store().expect("stored").len(), 2);
+        assert_eq!(resumed.store().expect("stored").len(), 4);
         let _ = resumed.runs(&keys);
         assert_eq!((resumed.hits(), resumed.simulated()), (2, 1));
         let _ = std::fs::remove_file(&path);
@@ -537,7 +636,7 @@ mod tests {
         let mut issue_sum = 0.0;
         let mut stacks = Vec::new();
         for kind in ALL_WORKLOADS {
-            let run = run_uarch_workload(&RunKey::new(kind, config), Scale::Test);
+            let (run, _) = run_uarch_workload(&RunKey::new(kind, config), Scale::Test);
             let c = run.counters;
             cpi_sum += c.cpi();
             issue_sum += (c.retired + c.quashed) as f64 / c.cycles.max(1) as f64;
@@ -557,7 +656,7 @@ mod tests {
         let path = temp_path("identical.store");
         let _ = open(&path).runs(&suite_keys(&[config])[..5]);
         let resumed = open(&path);
-        let stored = resumed.suite_activity(&config);
+        let stored = activity_of(&resumed.runs(&suite_keys(&[config])));
         assert_eq!((resumed.hits(), resumed.simulated()), (5, 5));
         assert_eq!(activity_bits(&stored), activity_bits(&fresh));
         assert_eq!(stored.bottleneck, fresh.bottleneck);
@@ -633,11 +732,74 @@ mod tests {
         drop(runs);
 
         let reopened = open(&path);
-        assert_eq!(reopened.store().expect("stored").len(), 1);
+        // The run and, as it serves its +Q twin, the twin's record.
+        assert_eq!(reopened.store().expect("stored").len(), 2);
         let _ = reopened.runs(&[key]);
         assert_eq!((reopened.hits(), reopened.simulated()), (1, 0));
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(stale_path(&path));
+    }
+
+    /// Runs answer equal when every simulated field is equal.
+    fn same_run(a: &MeasuredRun, b: &MeasuredRun) -> bool {
+        (a.kind, a.counters, a.system_cycles) == (b.kind, b.counters, b.system_cycles)
+    }
+
+    #[test]
+    fn a_clean_q_twin_pair_simulates_once() {
+        let path = temp_path("q_twin_clean.store");
+        let key = RunKey::new(WorkloadKind::Gcd, UarchConfig::base(Pipeline::T_D_X));
+        let twin = key.q_twin();
+        assert!(twin.config.effective_queue_status);
+        assert!(run_uarch_workload(&key, Scale::Test).1, "gcd never trips");
+
+        let runs = open(&path);
+        let both = runs.runs(&[twin.clone(), key.clone()]);
+        assert_eq!((runs.hits(), runs.simulated()), (1, 1));
+        assert!(same_run(&both[0], &both[1]));
+        assert_eq!((both[0].config, both[1].config), (twin.config, key.config));
+        drop(runs);
+
+        // The twin's record is in the file: a later process asking for
+        // the twin alone simulates nothing.
+        let reopened = open(&path);
+        let alone = reopened.runs(std::slice::from_ref(&twin));
+        assert_eq!((reopened.hits(), reopened.simulated()), (1, 0));
+        assert!(same_run(&alone[0], &both[0]));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_tripped_q_twin_pair_simulates_twice() {
+        let path = temp_path("q_twin_tripped.store");
+        let key = RunKey::new(WorkloadKind::Merge, UarchConfig::base(Pipeline::T_D_X1_X2));
+        assert!(!run_uarch_workload(&key, Scale::Test).1, "merge trips");
+        let runs = open(&path);
+        let both = runs.runs(&[key.clone(), key.q_twin()]);
+        assert_eq!((runs.hits(), runs.simulated()), (0, 2));
+        assert!(!same_run(&both[0], &both[1]), "+Q changes merge's run");
+        assert_eq!(runs.store().expect("stored").len(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn q_twin_runs_do_not_depend_on_the_worker_count() {
+        let pipelines = [Pipeline::TDX, Pipeline::T_DX, Pipeline::T_D_X1_X2];
+        let configs: Vec<UarchConfig> = pipelines
+            .into_iter()
+            .flat_map(|p| [UarchConfig::base(p), UarchConfig::with_q(p)])
+            .collect();
+        let keys = suite_keys(&configs);
+        let serial = RunStore::unstored(Scale::Test);
+        let parallel = RunStore::unstored(Scale::Test);
+        let one = serial.runs_with(1, &keys);
+        let two = parallel.runs_with(2, &keys);
+        assert!(one.iter().zip(&two).all(|(a, b)| same_run(a, b)));
+        assert_eq!(serial.simulated(), parallel.simulated());
+        assert!(
+            serial.simulated() < keys.len() as u64,
+            "some +Q run is answered by its twin"
+        );
     }
 
     #[test]

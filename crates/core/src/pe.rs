@@ -174,6 +174,10 @@ pub struct UarchPe<T: Tracer = NullTracer> {
     /// Per-output-queue in-flight enqueues not yet committed, hoisted
     /// once per trigger phase. Valid only during the trigger scan.
     pending_enq: [u8; 16],
+    /// Sticky: some evaluated slot had its issue status decided by
+    /// the choice between conservative and effective queue status
+    /// (see [`UarchPe::queue_status_mattered`]). Never snapshotted.
+    queue_status_mattered: bool,
 }
 
 impl UarchPe {
@@ -243,6 +247,7 @@ impl<T: Tracer> UarchPe<T> {
             idle: None,
             pending_deq: [0; 16],
             pending_enq: [0; 16],
+            queue_status_mattered: false,
         })
     }
 
@@ -294,6 +299,19 @@ impl<T: Tracer> UarchPe<T> {
     /// Whether a `halt` has committed.
     pub fn halted(&self) -> bool {
         self.halted
+    }
+
+    /// Whether the +Q setting (§5.3 effective queue status) could have
+    /// changed this run: sticky, set the first time a trigger scan
+    /// reaches the queue-status choice for a slot whose conservative
+    /// and effective accountings disagree. Nothing else reads the
+    /// setting, so a system whose PEs all end with it clear ran cycle
+    /// for cycle as it would have with `effective_queue_status`
+    /// flipped; that twin run sets it at the same evaluation or not at
+    /// all. A restored PE reports `true`, because its history before
+    /// the snapshot is unknown.
+    pub fn queue_status_mattered(&self) -> bool {
+        self.queue_status_mattered
     }
 
     /// Enables (or disables) recording of the slot index of every
@@ -853,11 +871,12 @@ impl<T: Tracer> UarchPe<T> {
 
     /// Evaluates one instruction slot's issue status against current
     /// state, consulting queue/in-flight/speculation state only when
-    /// the predicate guard passes.
-    fn slot_status(&self, slot: usize, pending_preds: u32) -> SlotStatus {
+    /// the predicate guard passes. The flag is whether the +Q setting
+    /// decided the status (see [`UarchPe::queue_status_mattered`]).
+    fn slot_status(&self, slot: usize, pending_preds: u32) -> (SlotStatus, bool) {
         let c = self.compiled.slot(slot);
         if !c.valid {
-            return SlotStatus::NotReady;
+            return (SlotStatus::NotReady, false);
         }
 
         // Predicate readiness.
@@ -877,28 +896,24 @@ impl<T: Tracer> UarchPe<T> {
             let stable_match = (self.preds.bits() & stable_on) == stable_on
                 && (self.preds.bits() & stable_off) == 0;
             if !stable_match {
-                return SlotStatus::NotReady;
+                return (SlotStatus::NotReady, false);
             }
             // Count it as a predicate hazard only if the rest of the
             // trigger could plausibly fire once the bits resolve.
             let (_, queue_effective) = self.queue_conditions(c);
-            return if queue_effective && !self.register_interlock(self.instruction(slot)) {
+            let status = if queue_effective && !self.register_interlock(self.instruction(slot)) {
                 SlotStatus::BlockedPred
             } else {
                 SlotStatus::NotReady
             };
+            return (status, false);
         }
         if !c.pred_matches(self.preds.bits()) {
-            return SlotStatus::NotReady;
+            return (SlotStatus::NotReady, false);
         }
 
         let instruction = self.instruction(slot);
         let (queue_conservative, queue_effective) = self.queue_conditions(c);
-        let queue_ok = if self.config.effective_queue_status {
-            queue_effective
-        } else {
-            queue_conservative
-        };
         let data_blocked = self.register_interlock(instruction);
         // §5.2 restrictions while speculating: pre-retirement side
         // effects (dequeues) always; further predicate writers only
@@ -909,24 +924,35 @@ impl<T: Tracer> UarchPe<T> {
             crate::spec_rules::forbidden(instruction, &self.config, self.spec_stack.len());
 
         if forbidden {
-            return if queue_effective && !data_blocked {
+            let status = if queue_effective && !data_blocked {
                 SlotStatus::BlockedForbidden
             } else {
                 SlotStatus::NotReady
             };
+            return (status, false);
         }
-        if !queue_ok {
-            return if queue_effective {
+        // The only point where +Q changes the scheduler. Conservative
+        // status implies effective status, so the two disagree exactly
+        // when this slot's status depends on the setting.
+        let mattered = queue_conservative != queue_effective;
+        let queue_ok = if self.config.effective_queue_status {
+            queue_effective
+        } else {
+            queue_conservative
+        };
+        let status = if !queue_ok {
+            if queue_effective {
                 // Only the conservative accounting blocks it.
                 SlotStatus::BlockedQueueConservative
             } else {
                 SlotStatus::NotReady
-            };
-        }
-        if data_blocked {
-            return SlotStatus::BlockedData;
-        }
-        SlotStatus::Eligible
+            }
+        } else if data_blocked {
+            SlotStatus::BlockedData
+        } else {
+            SlotStatus::Eligible
+        };
+        (status, mattered)
     }
 
     /// Stall-class priority rank (pred > forbidden > data).
@@ -954,21 +980,24 @@ impl<T: Tracer> UarchPe<T> {
     /// classifies the cycle otherwise. Both the interpreted full scan
     /// and the dispatch-table candidate scan funnel through here. It
     /// only reads, so the candidates can stay borrowed from
-    /// `self.compiled`; the caller issues after the scan.
+    /// `self.compiled`; the caller issues after the scan and records
+    /// the flag: whether the +Q setting decided any evaluated slot.
     fn scan_slots(
         &self,
         slots: impl Iterator<Item = usize>,
         pending_preds: u32,
-    ) -> Result<usize, CycleClass> {
+    ) -> (Result<usize, CycleClass>, bool) {
         let mut best_rank = 0u8;
+        let mut mattered = false;
         for slot in slots {
-            let status = self.slot_status(slot, pending_preds);
+            let (status, decided_by_q) = self.slot_status(slot, pending_preds);
+            mattered |= decided_by_q;
             if status == SlotStatus::Eligible {
-                return Ok(slot);
+                return (Ok(slot), mattered);
             }
             best_rank = best_rank.max(Self::stall_rank(status));
         }
-        Err(Self::rank_class(best_rank))
+        (Err(Self::rank_class(best_rank)), mattered)
     }
 
     /// Side-effect-free full scan over every slot, for debug
@@ -979,7 +1008,7 @@ impl<T: Tracer> UarchPe<T> {
     fn debug_reference_scan(&self, pending_preds: u32) -> (Option<usize>, u8) {
         let mut best_rank = 0u8;
         for slot in 0..self.program.len() {
-            let status = self.slot_status(slot, pending_preds);
+            let (status, _) = self.slot_status(slot, pending_preds);
             if status == SlotStatus::Eligible {
                 return (Some(slot), best_rank);
             }
@@ -1019,7 +1048,8 @@ impl<T: Tracer> UarchPe<T> {
         }
 
         // A still-matching idle key proves the scan would repeat the
-        // latched stall.
+        // latched stall, whose evaluations were already witnessed for
+        // `queue_status_mattered`.
         if let Some(class) = self.idle_class() {
             #[cfg(debug_assertions)]
             self.debug_check_latched_stall(class);
@@ -1052,10 +1082,11 @@ impl<T: Tracer> UarchPe<T> {
         #[cfg(debug_assertions)]
         let (reference_slot, reference_rank) = self.debug_reference_scan(pending_preds);
 
-        let scanned = match candidates {
+        let (scanned, mattered) = match candidates {
             Some(slots) => self.scan_slots(slots.iter().map(|&s| s as usize), pending_preds),
             None => self.scan_slots(0..self.program.len(), pending_preds),
         };
+        self.queue_status_mattered |= mattered;
         let class = match scanned {
             Ok(slot) => {
                 self.issue(slot);
@@ -1348,6 +1379,8 @@ impl<T: Tracer> UarchPe<T> {
         // The idle key describes the pre-restore timeline; drop it so
         // the restored PE re-proves inertness by stepping.
         self.idle = None;
+        // Whether +Q decided anything before the snapshot is unknown.
+        self.queue_status_mattered = true;
         Ok(())
     }
 }

@@ -6,9 +6,10 @@
 # Each experiment writes results/<name>.txt (the human-readable table)
 # and results/logs/<name>.log (its stderr); binaries that support
 # `--json` also write results/<name>.json with the same data points in
-# machine-readable form. Per-experiment wall-clock times land in
-# results/suite_timing.json. Failures are reported per experiment and
-# the script exits non-zero if any experiment fails.
+# machine-readable form. Per-experiment wall-clock times, to the
+# millisecond, land in results/suite_timing.json. Failures are
+# reported per experiment and the script exits non-zero if any
+# experiment fails.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -45,11 +46,13 @@ cargo build --release -p tia-bench -p tia-asm
 # every experiment that simulates workloads (sec1, fig4-fig8, the three
 # ablations and dse_export) stores one record per run and reads the
 # runs it shares with the others from it, so each distinct run is
-# simulated once. Keys embed workload, scale, ISA parameters and
-# microarchitecture, so test- and paper-scale runs coexist in one
-# file; concurrent experiments serialize appends through the store's
-# lock file. A warm store turns every repeated experiment into pure
-# lookups; an interrupted suite resumes the same way.
+# simulated at most once (a run whose trigger decisions never depended
+# on +Q also answers its +Q twin's key). Keys embed workload, scale,
+# ISA parameters and microarchitecture, so test- and paper-scale runs
+# coexist in one file; concurrent experiments serialize appends
+# through the store's lock file. A warm store turns every repeated
+# experiment into pure lookups; an interrupted suite resumes the same
+# way.
 STORE="results/store/measurements.store"
 export TIA_STORE="$STORE"
 
@@ -72,7 +75,25 @@ BINS=(
     ablation_queue_capacity
 )
 
-suite_start=$SECONDS
+# now_us: wall-clock microseconds from $EPOCHREALTIME, read with
+# either decimal separator the locale may use.
+if [[ -z "${EPOCHREALTIME:-}" ]]; then
+    echo "$0 needs bash 5 or later (for \$EPOCHREALTIME)" >&2
+    exit 2
+fi
+now_us() {
+    local t="$EPOCHREALTIME"
+    echo "${t//[.,]/}"
+}
+
+# seconds_since START_US: elapsed seconds since START_US, to the
+# millisecond.
+seconds_since() {
+    local ms=$((($(now_us) - $1) / 1000))
+    printf '%d.%03d' $((ms / 1000)) $((ms % 1000))
+}
+
+suite_start=$(now_us)
 
 # run_experiment NAME OUTFILE CMD...: runs CMD with stdout captured to
 # OUTFILE and stderr to results/logs/NAME.log, reporting wall-clock
@@ -81,10 +102,12 @@ suite_start=$SECONDS
 run_experiment() {
     local name="$1" outfile="$2"
     shift 2
-    local start=$SECONDS status=0
+    local start status=0
+    start=$(now_us)
     local log="results/logs/$name.log"
     "$@" > "$outfile" 2> "$log" || status=$?
-    local secs=$((SECONDS - start))
+    local secs
+    secs=$(seconds_since "$start")
     printf '%s %s\n' "$status" "$secs" > "$timing_dir/$name"
     if ((status == 0)); then
         echo "== $name (${secs}s)"
@@ -120,7 +143,7 @@ launch dump_workload_asm results/dump_workload_asm.txt \
     ./target/release/dump_workload_asm results/asm
 
 wait || true
-suite_secs=$((SECONDS - suite_start))
+suite_secs=$(seconds_since "$suite_start")
 
 failures=()
 {
