@@ -7,6 +7,11 @@
 //! exactly that: CPI and the forbidden-instruction component across
 //! speculation depths 1 (the paper's unit) through 4, on the three
 //! deepest pipelines.
+//!
+//! Most of its runs are never gated by the nesting limit, so the run
+//! store answers them from the run at a lower depth (see
+//! `tia_core::ConfigWitness`): a cold suite simulates 16 of the 90
+//! runs at depths 2-4.
 
 use tia_bench::{scale_from_args, suite_keys, RunStore, Table};
 use tia_core::{CpiStack, Pipeline, UarchConfig};

@@ -2,7 +2,7 @@
 //! model and fold runs into the activity the energy model's
 //! design-space exploration consumes.
 
-use tia_core::{UarchConfig, UarchCounters, UarchPe};
+use tia_core::{ConfigWitness, UarchConfig, UarchCounters, UarchPe};
 use tia_energy::dse::CpiMeasurement;
 use tia_isa::Params;
 use tia_prof::{CycleStack, LeafShares};
@@ -30,17 +30,16 @@ pub struct MeasuredRun {
 /// returns the worker's counters. Results are verified against the
 /// golden model before returning.
 ///
-/// The flag is whether the run is also the run of the key's +Q twin
-/// ([`RunKey::q_twin`]): no PE ever had a trigger decision that the
-/// +Q setting could change (see
-/// [`tia_core::UarchPe::queue_status_mattered`]), so the twin would
-/// simulate cycle-for-cycle the same system.
+/// The witness is what every PE's trigger decisions depended on,
+/// joined over the system (see [`UarchPe::witness`]): the run store
+/// answers from this run every key that the witness shows would
+/// simulate cycle for cycle the same system.
 ///
 /// # Panics
 ///
 /// Panics if the workload fails to build, run or verify — these are
 /// harness bugs, not user errors.
-pub fn run_uarch_workload(key: &RunKey, scale: Scale) -> (MeasuredRun, bool) {
+pub fn run_uarch_workload(key: &RunKey, scale: Scale) -> (MeasuredRun, ConfigWitness) {
     let RunKey {
         kind,
         ref params,
@@ -53,15 +52,16 @@ pub fn run_uarch_workload(key: &RunKey, scale: Scale) -> (MeasuredRun, bool) {
     built
         .run_to_completion()
         .unwrap_or_else(|e| panic!("{kind} on {config}: {e}"));
-    let serves_twin =
-        (0..built.system.num_pes()).all(|pe| !built.system.pe(pe).queue_status_mattered());
+    let witness = (0..built.system.num_pes())
+        .map(|pe| built.system.pe(pe).witness())
+        .fold(ConfigWitness::CLEAN, ConfigWitness::join);
     let run = MeasuredRun {
         kind,
         config,
         counters: *built.system.pe(built.worker).counters(),
         system_cycles: built.system.cycle(),
     };
-    (run, serves_twin)
+    (run, witness)
 }
 
 /// The worker PE's coarse hierarchical cycle stack, derived from its

@@ -15,16 +15,17 @@
 //! simulates each distinct run at most once, a warm one simulates
 //! nothing, and an interrupted one resumes from the runs it finished.
 //!
-//! A run and its +Q twin — the same key with `effective_queue_status`
-//! flipped — are one simulation whenever no trigger decision of the
-//! run depended on that setting (see [`RunKey::q_twin`]): the store
-//! answers both keys from it.
+//! Each record also keeps the run's [`ConfigWitness`]: which of the
+//! +Q setting and the nesting limit its trigger decisions depended
+//! on. A run answers every key the witness covers (see [`answers`]),
+//! so keys that differ only in knobs the run never consulted are one
+//! simulation and one record.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize, Value};
-use tia_core::{UarchConfig, UarchCounters};
+use tia_core::{ConfigWitness, UarchConfig, UarchCounters};
 use tia_energy::dse::CpiMeasurement;
 use tia_isa::Params;
 use tia_store::{canonical_bytes, canonical_hash, from_canonical_bytes, Hash, Store, StoreError};
@@ -41,7 +42,7 @@ use crate::measure::{activity_of, run_uarch_workload, MeasuredRun};
 /// input derivation changes, or the stored record gains a field. Old
 /// stores are then moved aside wholesale instead of answering with
 /// stale runs.
-pub const MEASUREMENT_SCHEMA_VERSION: u32 = 2;
+pub const MEASUREMENT_SCHEMA_VERSION: u32 = 3;
 
 /// The inputs of one run besides the input scale, which a
 /// [`RunStore`] fixes for all of its runs.
@@ -81,15 +82,6 @@ impl RunKey {
         ])
     }
 
-    /// The same run with the +Q setting (§5.3 effective queue status)
-    /// flipped. A simulation that reports it serves its twin (see
-    /// [`run_uarch_workload`]) answers both keys.
-    pub fn q_twin(&self) -> RunKey {
-        let mut twin = self.clone();
-        twin.config.effective_queue_status = !twin.config.effective_queue_status;
-        twin
-    }
-
     /// The content hash addressing this run at `scale`: canonical over
     /// (workload, scale, `Params`, `UarchConfig`) under
     /// [`MEASUREMENT_SCHEMA_VERSION`]. Key equality is semantic
@@ -99,6 +91,47 @@ impl RunKey {
         canonical_hash(MEASUREMENT_SCHEMA_VERSION, &self.to_value(scale))
             .expect("run key fields are unique")
     }
+}
+
+/// Whether the run of `from`, which witnessed `witness`, is also the
+/// run of `to`: the one rule by which a run answers another key. The
+/// workload and `Params` must be equal, and the configurations as
+/// [`ConfigWitness::covers`] allows.
+fn answers(from: &RunKey, witness: ConfigWitness, to: &RunKey) -> bool {
+    (from.kind, &from.params) == (to.kind, &to.params) && witness.covers(&from.config, &to.config)
+}
+
+/// The keys whose runs the store probes for a run that answers `key`
+/// when its own record is missing: the +Q setting flipped, and every
+/// nesting limit from 1 up to the key's own under either setting.
+fn neighbours(key: &RunKey) -> impl Iterator<Item = RunKey> + '_ {
+    let UarchConfig {
+        effective_queue_status: q,
+        speculation_depth: d,
+        ..
+    } = key.config;
+    (1..d)
+        .chain([d])
+        .flat_map(move |depth| [(depth, q), (depth, !q)])
+        .filter(move |&knobs| knobs != (d, q))
+        .map(move |(speculation_depth, effective_queue_status)| RunKey {
+            config: UarchConfig {
+                effective_queue_status,
+                speculation_depth,
+                ..key.config
+            },
+            ..key.clone()
+        })
+}
+
+/// The order in which a batch simulates its misses: by nesting limit,
+/// then without +Q before with it, so each wave can be answered from
+/// the runs of the waves before it.
+fn wave(key: &RunKey) -> (u8, bool) {
+    (
+        key.config.speculation_depth,
+        key.config.effective_queue_status,
+    )
 }
 
 /// One run per workload of the suite on each of `configs`: config by
@@ -153,26 +186,31 @@ fn store_path_from_args() -> Option<PathBuf> {
     }
 }
 
-/// Serializes a run's record — the worker's counters and the system
-/// cycles — to the canonical byte form stored as a record payload.
-fn encode_run(run: &MeasuredRun) -> Vec<u8> {
+/// Serializes a run's record — the worker's counters, the system
+/// cycles and the run's witness — to the canonical byte form stored
+/// as a record payload.
+fn encode_run(run: &MeasuredRun, witness: ConfigWitness) -> Vec<u8> {
     let record = Value::Object(vec![
         ("counters".to_string(), run.counters.to_value()),
         ("system_cycles".to_string(), run.system_cycles.to_value()),
+        ("witness".to_string(), witness.to_value()),
     ]);
     canonical_bytes(&record).expect("record fields are unique")
 }
 
-/// Decodes a stored record for `key`; `None` for undecodable bytes (a
-/// foreign or corrupt record — treated as a miss, never trusted).
-fn decode_run(key: &RunKey, bytes: &[u8]) -> Option<MeasuredRun> {
+/// Decodes a stored record as a run of `key`, with the witness of the
+/// run that wrote it; `None` for undecodable bytes or a missing
+/// witness (a foreign or corrupt record — treated as a miss, never
+/// trusted).
+fn decode_run(key: &RunKey, bytes: &[u8]) -> Option<(MeasuredRun, ConfigWitness)> {
     let record = from_canonical_bytes(bytes).ok()?;
-    Some(MeasuredRun {
+    let run = MeasuredRun {
         kind: key.kind,
         config: key.config,
         counters: UarchCounters::from_value(record.get("counters")?).ok()?,
         system_cycles: u64::from_value(record.get("system_cycles")?).ok()?,
-    })
+    };
+    Some((run, ConfigWitness::from_value(record.get("witness")?).ok()?))
 }
 
 /// What a stale store file was replaced over.
@@ -302,105 +340,88 @@ impl RunStore {
     }
 
     /// The runs of `keys`, in order, with the misses simulated across
-    /// [`tia_par::worker_count`] threads. A simulated run that serves
-    /// its +Q twin (see [`run_uarch_workload`]) also answers the
-    /// twin's key, in this batch and in the store.
+    /// [`tia_par::worker_count`] threads. A key is answered by its own
+    /// record or by any stored or freshly simulated run whose witness
+    /// covers it (see [`answers`]); the store holds one record per
+    /// simulated run.
     pub fn runs(&self, keys: &[RunKey]) -> Vec<MeasuredRun> {
         self.runs_with(tia_par::worker_count(), keys)
     }
 
-    /// The runs of `keys` with the misses simulated in two waves. The
-    /// first simulates every miss except a +Q key whose non-+Q twin is
-    /// also a miss. Each of those takes its twin's run when that run
-    /// serves it (see [`run_uarch_workload`]); the second wave
-    /// simulates the rest.
+    /// The runs of `keys` with the misses simulated in waves ordered
+    /// by [`wave`]. A miss that a run of an earlier wave answers takes
+    /// that run; the rest of the wave is simulated.
     fn runs_with(&self, workers: usize, keys: &[RunKey]) -> Vec<MeasuredRun> {
         let mut found: Vec<Option<MeasuredRun>> = match &self.store {
-            Some(store) => keys
-                .iter()
-                .map(|key| {
-                    let bytes = store.get(&key.hash(self.scale))?;
-                    decode_run(key, &bytes)
-                })
-                .collect(),
+            Some(store) => keys.iter().map(|key| self.stored(store, key)).collect(),
             None => vec![None; keys.len()],
         };
-        let misses: Vec<usize> = (0..keys.len()).filter(|&i| found[i].is_none()).collect();
-        // Each deferred +Q miss with the index of its non-+Q twin.
-        let deferred: Vec<(usize, usize)> = misses
-            .iter()
-            .filter(|&&i| keys[i].config.effective_queue_status)
-            .filter_map(|&i| {
-                let twin = keys[i].q_twin();
-                let t = misses.iter().copied().find(|&t| keys[t] == twin)?;
-                Some((i, t))
-            })
-            .collect();
-        let first: Vec<usize> = misses
-            .into_iter()
-            .filter(|&i| deferred.iter().all(|&(d, _)| d != i))
-            .collect();
-        let mut serves_twin = vec![false; keys.len()];
-        for (&i, (run, serves)) in first.iter().zip(self.simulate(workers, keys, &first)) {
-            found[i] = Some(run);
-            serves_twin[i] = serves;
-        }
-        let mut second = Vec::new();
-        for (i, t) in deferred {
-            match found[t] {
-                Some(run) if serves_twin[t] => {
-                    found[i] = Some(MeasuredRun {
-                        config: keys[i].config,
-                        ..run
-                    });
+        let mut misses: Vec<usize> = (0..keys.len()).filter(|&i| found[i].is_none()).collect();
+        misses.sort_by_key(|&i| wave(&keys[i]));
+        // Each run simulated so far, by key index, with its witness.
+        let mut simulated: Vec<(usize, ConfigWitness)> = Vec::new();
+        for batch in misses.chunk_by(|&a, &b| wave(&keys[a]) == wave(&keys[b])) {
+            let mut fresh = Vec::new();
+            for &i in batch {
+                match simulated
+                    .iter()
+                    .find(|&&(j, witness)| answers(&keys[j], witness, &keys[i]))
+                {
+                    Some(&(j, _)) => {
+                        found[i] = found[j].map(|run| MeasuredRun {
+                            config: keys[i].config,
+                            ..run
+                        });
+                    }
+                    None => fresh.push(i),
                 }
-                _ => second.push(i),
+            }
+            for (&i, (run, witness)) in fresh.iter().zip(self.simulate(workers, keys, &fresh)) {
+                found[i] = Some(run);
+                simulated.push((i, witness));
             }
         }
-        for (&i, (run, _)) in second.iter().zip(self.simulate(workers, keys, &second)) {
-            found[i] = Some(run);
-        }
-        let simulated = (first.len() + second.len()) as u64;
+        let simulated = simulated.len() as u64;
         self.hits
             .fetch_add(keys.len() as u64 - simulated, Ordering::Relaxed);
         self.simulated.fetch_add(simulated, Ordering::Relaxed);
         found
             .into_iter()
-            .map(|run| run.expect("every miss was simulated or answered by its twin"))
+            .map(|run| run.expect("every miss was simulated or answered by a simulated run"))
             .collect()
     }
 
+    /// The stored run that answers `key`: its own record's, else the
+    /// first of its [`neighbours`] whose witness covers it.
+    fn stored(&self, store: &Store, key: &RunKey) -> Option<MeasuredRun> {
+        std::iter::once(key.clone())
+            .chain(neighbours(key))
+            .find_map(|from| {
+                let (run, witness) = decode_run(key, &store.get(&from.hash(self.scale))?)?;
+                answers(&from, witness, key).then_some(run)
+            })
+    }
+
     /// Simulates the runs of `keys` at `indices` across `workers`
-    /// threads and stores each. A run that serves its +Q twin is also
-    /// stored under the twin's key when that key is absent: records
-    /// hold no configuration, so those are the bytes simulating the
-    /// twin would write. Returns the runs, in `indices` order, with
-    /// their serves-twin flags.
+    /// threads and stores each under its own key. Returns the runs, in
+    /// `indices` order, with their witnesses.
     fn simulate(
         &self,
         workers: usize,
         keys: &[RunKey],
         indices: &[usize],
-    ) -> Vec<(MeasuredRun, bool)> {
+    ) -> Vec<(MeasuredRun, ConfigWitness)> {
         tia_par::par_map_with(workers, indices, |&i| {
             let key = &keys[i];
-            let (run, serves_twin) = run_uarch_workload(key, self.scale);
+            let (run, witness) = run_uarch_workload(key, self.scale);
             if let Some(store) = &self.store {
-                let record = encode_run(&run);
-                let mut hashes = vec![key.hash(self.scale)];
-                let twin = key.q_twin().hash(self.scale);
-                if serves_twin && !store.contains(&twin) {
-                    hashes.push(twin);
-                }
-                for hash in hashes {
-                    if let Err(e) = store.put(hash, &record) {
-                        // A failed persist must not kill the experiment;
-                        // it just cannot warm the next one from this run.
-                        eprintln!("warning: could not persist measurement: {e}");
-                    }
+                if let Err(e) = store.put(key.hash(self.scale), &encode_run(&run, witness)) {
+                    // A failed persist must not kill the experiment; it
+                    // just cannot warm the next one from this run.
+                    eprintln!("warning: could not persist measurement: {e}");
                 }
             }
-            (run, serves_twin)
+            (run, witness)
         })
     }
 
@@ -409,7 +430,7 @@ impl RunStore {
     /// `par_explore` sweeps: the delay model of the design-space
     /// exploration. All of the population's runs are fetched in one
     /// batch up front, so their misses spread run by run across the
-    /// pool and each +Q key can wait for its twin (see
+    /// pool and each +Q key can be answered by its twin (see
     /// [`RunStore::runs`]) whatever the worker count.
     ///
     /// # Panics
@@ -434,7 +455,7 @@ impl RunStore {
     /// `measurement store PATH: N point(s) answered from store, M
     /// simulated`, where the counts are runs: `M` is the runs this
     /// process simulated and `N` every other run it was asked for,
-    /// whether read from the store or answered by a simulated +Q twin
+    /// whether read from the store or answered by another key's run
     /// (see [`RunStore::runs`]). Prints nothing without a store.
     pub fn report(&self) {
         if let Some(store) = &self.store {
@@ -487,11 +508,12 @@ mod tests {
     #[test]
     fn records_roundtrip_bit_exactly() {
         let key = RunKey::new(WorkloadKind::Gcd, UarchConfig::with_pq(Pipeline::T_DX));
-        let (run, _) = run_uarch_workload(&key, Scale::Test);
-        let back = decode_run(&key, &encode_run(&run)).expect("decodes");
+        let (run, witness) = run_uarch_workload(&key, Scale::Test);
+        let (back, back_witness) = decode_run(&key, &encode_run(&run, witness)).expect("decodes");
         assert_eq!(back.counters, run.counters);
         assert_eq!(back.system_cycles, run.system_cycles);
         assert_eq!((back.kind, back.config), (key.kind, key.config));
+        assert_eq!(back_witness, witness);
         assert!(decode_run(&key, b"not a record").is_none());
     }
 
@@ -563,14 +585,11 @@ mod tests {
             (runs.hits(), runs.simulated()),
             (1, ALL_WORKLOADS.len() as u64)
         );
-        // One record per distinct run, plus one under the +Q twin's key
-        // of each run that serves its twin.
-        let store = runs.store().expect("stored");
-        let twins = keys
-            .iter()
-            .filter(|k| store.contains(&k.q_twin().hash(Scale::Test)))
-            .count();
-        assert_eq!(store.len(), ALL_WORKLOADS.len() + twins);
+        assert_eq!(
+            runs.store().expect("stored").len(),
+            ALL_WORKLOADS.len(),
+            "one record per simulated run"
+        );
         let again = runs.runs(&[RunKey::new(WorkloadKind::Gcd, swept)]);
         assert_eq!(again[0].counters, fig5[0].counters);
         assert_eq!(suite[0].counters, fig5[0].counters);
@@ -591,10 +610,9 @@ mod tests {
         assert_eq!(first.simulated(), 2);
         drop(first);
 
-        // Second run: the two finished runs come from the file, each
-        // also stored under its +Q twin's key (gcd never trips).
+        // Second run: the two finished runs come from the file.
         let resumed = open(&path);
-        assert_eq!(resumed.store().expect("stored").len(), 4);
+        assert_eq!(resumed.store().expect("stored").len(), 2);
         let _ = resumed.runs(&keys);
         assert_eq!((resumed.hits(), resumed.simulated()), (2, 1));
         let _ = std::fs::remove_file(&path);
@@ -676,8 +694,11 @@ mod tests {
             counters: UarchCounters::default(),
             system_cycles: 999,
         };
-        old.put(key.hash(Scale::Test), &encode_run(&poisoned))
-            .expect("seed record");
+        old.put(
+            key.hash(Scale::Test),
+            &encode_run(&poisoned, ConfigWitness::CLEAN),
+        )
+        .expect("seed record");
         drop(old);
 
         let (runs, reset) = RunStore::open(&path, Scale::Test).expect("open resets");
@@ -732,8 +753,7 @@ mod tests {
         drop(runs);
 
         let reopened = open(&path);
-        // The run and, as it serves its +Q twin, the twin's record.
-        assert_eq!(reopened.store().expect("stored").len(), 2);
+        assert_eq!(reopened.store().expect("stored").len(), 1);
         let _ = reopened.runs(&[key]);
         assert_eq!((reopened.hits(), reopened.simulated()), (1, 0));
         let _ = std::fs::remove_file(&path);
@@ -745,13 +765,39 @@ mod tests {
         (a.kind, a.counters, a.system_cycles) == (b.kind, b.counters, b.system_cycles)
     }
 
+    /// `key` with the +Q setting and the nesting limit replaced.
+    fn with_knobs(key: &RunKey, effective_queue_status: bool, speculation_depth: u8) -> RunKey {
+        RunKey {
+            config: UarchConfig {
+                effective_queue_status,
+                speculation_depth,
+                ..key.config
+            },
+            ..key.clone()
+        }
+    }
+
+    /// `key` with the +Q setting flipped.
+    fn q_twin(key: &RunKey) -> RunKey {
+        with_knobs(
+            key,
+            !key.config.effective_queue_status,
+            key.config.speculation_depth,
+        )
+    }
+
     #[test]
     fn a_clean_q_twin_pair_simulates_once() {
         let path = temp_path("q_twin_clean.store");
         let key = RunKey::new(WorkloadKind::Gcd, UarchConfig::base(Pipeline::T_D_X));
-        let twin = key.q_twin();
+        let twin = q_twin(&key);
         assert!(twin.config.effective_queue_status);
-        assert!(run_uarch_workload(&key, Scale::Test).1, "gcd never trips");
+        assert!(
+            !run_uarch_workload(&key, Scale::Test)
+                .1
+                .queue_status_mattered,
+            "gcd never trips"
+        );
 
         let runs = open(&path);
         let both = runs.runs(&[twin.clone(), key.clone()]);
@@ -760,7 +806,7 @@ mod tests {
         assert_eq!((both[0].config, both[1].config), (twin.config, key.config));
         drop(runs);
 
-        // The twin's record is in the file: a later process asking for
+        // The run's record is in the file: a later process asking for
         // the twin alone simulates nothing.
         let reopened = open(&path);
         let alone = reopened.runs(std::slice::from_ref(&twin));
@@ -773,9 +819,14 @@ mod tests {
     fn a_tripped_q_twin_pair_simulates_twice() {
         let path = temp_path("q_twin_tripped.store");
         let key = RunKey::new(WorkloadKind::Merge, UarchConfig::base(Pipeline::T_D_X1_X2));
-        assert!(!run_uarch_workload(&key, Scale::Test).1, "merge trips");
+        assert!(
+            run_uarch_workload(&key, Scale::Test)
+                .1
+                .queue_status_mattered,
+            "merge trips"
+        );
         let runs = open(&path);
-        let both = runs.runs(&[key.clone(), key.q_twin()]);
+        let both = runs.runs(&[key.clone(), q_twin(&key)]);
         assert_eq!((runs.hits(), runs.simulated()), (0, 2));
         assert!(!same_run(&both[0], &both[1]), "+Q changes merge's run");
         assert_eq!(runs.store().expect("stored").len(), 2);
@@ -800,6 +851,173 @@ mod tests {
             serial.simulated() < keys.len() as u64,
             "some +Q run is answered by its twin"
         );
+    }
+
+    #[test]
+    fn witness_rule_covers_only_unconsulted_knobs() {
+        let key = RunKey::new(
+            WorkloadKind::Gcd,
+            UarchConfig::with_nested(Pipeline::T_D_X, 2),
+        );
+        let clean = ConfigWitness::CLEAN;
+        let bound = ConfigWitness {
+            queue_status_mattered: true,
+            spec_depth_needed: 3,
+        };
+        assert!(answers(&key, bound, &key), "a run answers its own key");
+        assert!(answers(&key, clean, &with_knobs(&key, false, 4)));
+        assert!(answers(&key, clean, &with_knobs(&key, true, 1)));
+        assert!(!answers(&key, bound, &q_twin(&key)));
+        assert!(!answers(&key, bound, &with_knobs(&key, true, 3)));
+        let unbound_q = ConfigWitness {
+            queue_status_mattered: false,
+            spec_depth_needed: 2,
+        };
+        assert!(answers(&key, unbound_q, &with_knobs(&key, false, 3)));
+        assert!(!answers(&key, unbound_q, &with_knobs(&key, false, 1)));
+        // Every other input must be equal.
+        let other_kind = RunKey {
+            kind: WorkloadKind::Mean,
+            ..key.clone()
+        };
+        assert!(!answers(&key, clean, &other_kind));
+        let mut other_params = key.clone();
+        other_params.params.queue_capacity += 1;
+        assert!(!answers(&key, clean, &other_params));
+        let mut other_predictor = key.clone();
+        other_predictor.config.predictor = tia_core::PredictorKind::OneBit;
+        assert!(!answers(&key, clean, &other_predictor));
+        assert!(!answers(
+            &key,
+            ConfigWitness::UNKNOWN,
+            &with_knobs(&key, true, 3)
+        ));
+    }
+
+    /// The nesting-limit chain 1..=4 of `kind` on T|D|X1|X2 +P+Q.
+    fn depth_chain(kind: WorkloadKind) -> Vec<RunKey> {
+        (1..=4)
+            .map(|depth| RunKey::new(kind, UarchConfig::with_nested(Pipeline::T_D_X1_X2, depth)))
+            .collect()
+    }
+
+    #[test]
+    fn witness_clean_depth_chain_simulates_once() {
+        let path = temp_path("witness_clean_chain.store");
+        let keys = depth_chain(WorkloadKind::Mean);
+        let (reference, witness) = run_uarch_workload(&keys[0], Scale::Test);
+        assert_eq!(witness.spec_depth_needed, 1, "mean never nests");
+        let runs = open(&path);
+        let chain = runs.runs(&keys);
+        assert_eq!((runs.hits(), runs.simulated()), (3, 1));
+        assert!(chain.iter().all(|run| same_run(run, &reference)));
+        let configs: Vec<UarchConfig> = chain.iter().map(|run| run.config).collect();
+        let asked: Vec<UarchConfig> = keys.iter().map(|key| key.config).collect();
+        assert_eq!(configs, asked, "each answer carries its own key's config");
+        drop(runs);
+
+        let reopened = open(&path);
+        assert_eq!(reopened.store().expect("stored").len(), 1);
+        let alone = reopened.runs(&keys[2..3]);
+        assert_eq!((reopened.hits(), reopened.simulated()), (1, 0));
+        assert!(same_run(&alone[0], &reference));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn witness_bound_chain_simulates_up_to_its_first_unbound_depth() {
+        let keys = depth_chain(WorkloadKind::Gcd);
+        let reference: Vec<(MeasuredRun, ConfigWitness)> = keys
+            .iter()
+            .map(|key| run_uarch_workload(key, Scale::Test))
+            .collect();
+        let needs: Vec<u8> = reference.iter().map(|(_, w)| w.spec_depth_needed).collect();
+        assert_eq!(needs, [2, 3, 3, 3], "gcd nests twice on T|D|X1|X2");
+        // Depth 1 and 2 are each gated by their limit; depth 3 is not,
+        // so it also answers depth 4.
+        let runs = RunStore::unstored(Scale::Test);
+        let chain = runs.runs(&keys);
+        assert_eq!((runs.hits(), runs.simulated()), (1, 3));
+        for (run, (direct, _)) in chain.iter().zip(&reference) {
+            assert!(
+                same_run(run, direct),
+                "{} differs from its own run",
+                run.config
+            );
+        }
+    }
+
+    #[test]
+    fn witness_multi_wave_runs_do_not_depend_on_the_worker_count() {
+        let configs: Vec<UarchConfig> = [Pipeline::T_DX1_X2, Pipeline::T_D_X, Pipeline::T_D_X1_X2]
+            .into_iter()
+            .flat_map(|p| {
+                (1..=4).flat_map(move |depth| {
+                    let nested = UarchConfig::with_nested(p, depth);
+                    [
+                        nested,
+                        UarchConfig {
+                            effective_queue_status: false,
+                            ..nested
+                        },
+                    ]
+                })
+            })
+            .collect();
+        // Deepest first, so every wave is asked for before the wave
+        // that answers it.
+        let keys: Vec<RunKey> = suite_keys(&configs).into_iter().rev().collect();
+        let serial = RunStore::unstored(Scale::Test);
+        let parallel = RunStore::unstored(Scale::Test);
+        let one = serial.runs_with(1, &keys);
+        let two = parallel.runs_with(2, &keys);
+        assert!(one.iter().zip(&two).all(|(a, b)| same_run(a, b)));
+        assert_eq!(serial.simulated(), parallel.simulated());
+        assert!(
+            serial.simulated() * 2 < keys.len() as u64,
+            "most keys are answered by another key's run: {} of {} simulated",
+            serial.simulated(),
+            keys.len()
+        );
+        for (key, run) in keys.iter().zip(&one) {
+            let (direct, _) = run_uarch_workload(key, Scale::Test);
+            assert!(same_run(run, &direct), "{} on {}", key.kind, key.config);
+            assert_eq!(run.config, key.config);
+        }
+    }
+
+    #[test]
+    fn witness_less_records_are_resimulated() {
+        let path = temp_path("witness_less.store");
+        let key = RunKey::new(
+            WorkloadKind::Mean,
+            UarchConfig::with_nested(Pipeline::T_D_X, 2),
+        );
+        let shallow = with_knobs(&key, true, 1);
+        // Records in the current schema's shape but without a witness,
+        // under the key itself and under the neighbour that would
+        // answer it.
+        let store = Store::open(&path, MEASUREMENT_SCHEMA_VERSION).expect("seed store");
+        let poisoned = Value::Object(vec![
+            ("counters".to_string(), UarchCounters::default().to_value()),
+            ("system_cycles".to_string(), 999u64.to_value()),
+        ]);
+        let bytes = canonical_bytes(&poisoned).expect("encodes");
+        for k in [&key, &shallow] {
+            store.put(k.hash(Scale::Test), &bytes).expect("seed record");
+        }
+        drop(store);
+
+        let runs = open(&path);
+        let run = runs.runs(std::slice::from_ref(&key));
+        assert_eq!(runs.simulated(), 1, "re-simulated, not trusted");
+        assert_ne!(run[0].system_cycles, 999);
+        drop(runs);
+        let reopened = open(&path);
+        let again = reopened.runs(std::slice::from_ref(&key));
+        assert_eq!(reopened.simulated(), 0, "the fresh record replaced it");
+        assert!(same_run(&again[0], &run[0]));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -338,6 +338,71 @@ impl fmt::Display for UarchConfig {
     }
 }
 
+/// Which of a run's configuration knobs could have changed it: what
+/// a [`crate::UarchPe`] witnessed about its own trigger decisions (see
+/// [`crate::UarchPe::witness`]). A run whose witness allows it is, cycle
+/// for cycle, the run of the same program with the knob changed, so
+/// one simulation answers every configuration it covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ConfigWitness {
+    /// Some evaluated slot had its issue status decided by the choice
+    /// between conservative and effective queue status (§5.3): only
+    /// a run with this clear also serves the configuration with
+    /// `effective_queue_status` flipped.
+    pub queue_status_mattered: bool,
+    /// The smallest `speculation_depth` at which every evaluation of
+    /// the §6 nesting limit came out as it did: the run is the run at
+    /// every depth at least this large. 1 when no predicate writer met
+    /// the limit while a speculation was outstanding.
+    pub spec_depth_needed: u8,
+}
+
+impl ConfigWitness {
+    /// A run that no knob has changed yet.
+    pub const CLEAN: ConfigWitness = ConfigWitness {
+        queue_status_mattered: false,
+        spec_depth_needed: 1,
+    };
+
+    /// A run whose history is unknown, such as one restored from a
+    /// snapshot: it serves no configuration but its own.
+    pub const UNKNOWN: ConfigWitness = ConfigWitness {
+        queue_status_mattered: true,
+        spec_depth_needed: u8::MAX,
+    };
+
+    /// Whether a run under `from` that witnessed `self` is, cycle for
+    /// cycle, also the run of the same program and inputs under `to`.
+    /// All knobs but the two the witness watches must be equal. The
+    /// +Q setting may differ only when it never mattered, and the
+    /// nesting limits only when both are at least the depth the run
+    /// needed. The two compose: the run at one depth is the run at the
+    /// other, witness included, so it then also stands for that run's
+    /// +Q twin.
+    pub fn covers(self, from: &UarchConfig, to: &UarchConfig) -> bool {
+        let knobs_aside = UarchConfig {
+            effective_queue_status: from.effective_queue_status,
+            speculation_depth: from.speculation_depth,
+            ..*to
+        };
+        knobs_aside == *from
+            && (from.effective_queue_status == to.effective_queue_status
+                || !self.queue_status_mattered)
+            && (from.speculation_depth == to.speculation_depth
+                || from.speculation_depth.min(to.speculation_depth) >= self.spec_depth_needed)
+    }
+
+    /// The witness of two runs, or of two PEs of one system, taken
+    /// together: what could change either could change both.
+    #[must_use]
+    pub fn join(self, other: ConfigWitness) -> ConfigWitness {
+        ConfigWitness {
+            queue_status_mattered: self.queue_status_mattered | other.queue_status_mattered,
+            spec_depth_needed: self.spec_depth_needed.max(other.spec_depth_needed),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

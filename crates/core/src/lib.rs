@@ -66,7 +66,7 @@ pub mod pe;
 pub mod predictor;
 pub mod spec_rules;
 
-pub use config::{Pipeline, PredictorKind, UarchConfig};
+pub use config::{ConfigWitness, Pipeline, PredictorKind, UarchConfig};
 pub use counters::{CpiStack, CycleClass, UarchCounters};
 pub use pe::{InFlightState, SpeculationState, UarchPe, UarchPeState};
 pub use predictor::PredicatePredictor;

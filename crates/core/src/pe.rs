@@ -39,7 +39,7 @@ use tia_trace::{
     StallInsight, Tracer,
 };
 
-use crate::config::UarchConfig;
+use crate::config::{ConfigWitness, UarchConfig};
 use crate::counters::{CycleClass, UarchCounters};
 use crate::predictor::PredicatePredictor;
 
@@ -81,6 +81,22 @@ enum SlotStatus {
     BlockedData,
     BlockedQueueConservative,
     NotReady,
+}
+
+/// Which knobs of [`UarchPe::witness`] one trigger scan consulted: the
+/// +Q choice where the two queue accountings disagreed, and the §6
+/// nesting limit for a +P predicate writer.
+#[derive(Debug, Clone, Copy)]
+struct Depended {
+    queue_status: bool,
+    nesting_limit: bool,
+}
+
+impl Depended {
+    const NOTHING: Depended = Depended {
+        queue_status: false,
+        nesting_limit: false,
+    };
 }
 
 /// The PE's one idle key, latched after a *pure* stall: a step that
@@ -174,10 +190,10 @@ pub struct UarchPe<T: Tracer = NullTracer> {
     /// Per-output-queue in-flight enqueues not yet committed, hoisted
     /// once per trigger phase. Valid only during the trigger scan.
     pending_enq: [u8; 16],
-    /// Sticky: some evaluated slot had its issue status decided by
-    /// the choice between conservative and effective queue status
-    /// (see [`UarchPe::queue_status_mattered`]). Never snapshotted.
-    queue_status_mattered: bool,
+    /// Which configuration knobs the evaluated slots depended on so
+    /// far (see [`UarchPe::witness`]). Only ever raised; never
+    /// snapshotted.
+    witness: ConfigWitness,
 }
 
 impl UarchPe {
@@ -247,7 +263,7 @@ impl<T: Tracer> UarchPe<T> {
             idle: None,
             pending_deq: [0; 16],
             pending_enq: [0; 16],
-            queue_status_mattered: false,
+            witness: ConfigWitness::CLEAN,
         })
     }
 
@@ -301,17 +317,27 @@ impl<T: Tracer> UarchPe<T> {
         self.halted
     }
 
-    /// Whether the +Q setting (§5.3 effective queue status) could have
-    /// changed this run: sticky, set the first time a trigger scan
-    /// reaches the queue-status choice for a slot whose conservative
-    /// and effective accountings disagree. Nothing else reads the
-    /// setting, so a system whose PEs all end with it clear ran cycle
-    /// for cycle as it would have with `effective_queue_status`
-    /// flipped; that twin run sets it at the same evaluation or not at
-    /// all. A restored PE reports `true`, because its history before
-    /// the snapshot is unknown.
-    pub fn queue_status_mattered(&self) -> bool {
-        self.queue_status_mattered
+    /// Which configuration knobs could have changed this run so far.
+    /// Each trigger scan joins in what its evaluated slots depended
+    /// on, at the only two points where the scheduler reads the knobs:
+    ///
+    /// - `queue_status_mattered` is set the first time a scan reaches
+    ///   the queue-status choice for a slot whose conservative and
+    ///   effective accountings disagree. A system whose PEs all end
+    ///   with it clear ran cycle for cycle as it would have with
+    ///   `effective_queue_status` flipped; that twin run sets it at
+    ///   the same evaluation or not at all.
+    /// - `spec_depth_needed` rises to one more than the outstanding
+    ///   speculations whenever a scan asks the §6 nesting limit about
+    ///   a +P predicate writer (see
+    ///   [`crate::spec_rules::limit_decides`]). At every
+    ///   `speculation_depth` of at least the final value the limit
+    ///   never fired, so those depths run cycle for cycle alike.
+    ///
+    /// A restored PE reports [`ConfigWitness::UNKNOWN`], because its
+    /// history before the snapshot is unknown.
+    pub fn witness(&self) -> ConfigWitness {
+        self.witness
     }
 
     /// Enables (or disables) recording of the slot index of every
@@ -871,12 +897,12 @@ impl<T: Tracer> UarchPe<T> {
 
     /// Evaluates one instruction slot's issue status against current
     /// state, consulting queue/in-flight/speculation state only when
-    /// the predicate guard passes. The flag is whether the +Q setting
-    /// decided the status (see [`UarchPe::queue_status_mattered`]).
-    fn slot_status(&self, slot: usize, pending_preds: u32) -> (SlotStatus, bool) {
+    /// the predicate guard passes, and what the status depended on
+    /// (see [`UarchPe::witness`]).
+    fn slot_status(&self, slot: usize, pending_preds: u32) -> (SlotStatus, Depended) {
         let c = self.compiled.slot(slot);
         if !c.valid {
-            return (SlotStatus::NotReady, false);
+            return (SlotStatus::NotReady, Depended::NOTHING);
         }
 
         // Predicate readiness.
@@ -896,7 +922,7 @@ impl<T: Tracer> UarchPe<T> {
             let stable_match = (self.preds.bits() & stable_on) == stable_on
                 && (self.preds.bits() & stable_off) == 0;
             if !stable_match {
-                return (SlotStatus::NotReady, false);
+                return (SlotStatus::NotReady, Depended::NOTHING);
             }
             // Count it as a predicate hazard only if the rest of the
             // trigger could plausibly fire once the bits resolve.
@@ -906,10 +932,10 @@ impl<T: Tracer> UarchPe<T> {
             } else {
                 SlotStatus::NotReady
             };
-            return (status, false);
+            return (status, Depended::NOTHING);
         }
         if !c.pred_matches(self.preds.bits()) {
-            return (SlotStatus::NotReady, false);
+            return (SlotStatus::NotReady, Depended::NOTHING);
         }
 
         let instruction = self.instruction(slot);
@@ -919,9 +945,17 @@ impl<T: Tracer> UarchPe<T> {
         // effects (dequeues) always; further predicate writers only
         // when the speculation stack is at its depth limit (the paper
         // has depth 1 — no nesting; §6 relaxes it). The rule itself is
-        // shared with the static analyzer (`tia-lint`).
-        let forbidden =
-            crate::spec_rules::forbidden(instruction, &self.config, self.spec_stack.len());
+        // shared with the static analyzer (`tia-lint`). It is the only
+        // point where `speculation_depth` changes the scheduler.
+        let outstanding = self.spec_stack.len();
+        let forbidden = crate::spec_rules::forbidden(instruction, &self.config, outstanding);
+        // With nothing outstanding every limit allows a writer, so only
+        // an evaluation under speculation can raise the needed depth.
+        let mut depended = Depended {
+            queue_status: false,
+            nesting_limit: outstanding > 0
+                && crate::spec_rules::limit_decides(instruction, &self.config, outstanding),
+        };
 
         if forbidden {
             let status = if queue_effective && !data_blocked {
@@ -929,12 +963,12 @@ impl<T: Tracer> UarchPe<T> {
             } else {
                 SlotStatus::NotReady
             };
-            return (status, false);
+            return (status, depended);
         }
         // The only point where +Q changes the scheduler. Conservative
         // status implies effective status, so the two disagree exactly
         // when this slot's status depends on the setting.
-        let mattered = queue_conservative != queue_effective;
+        depended.queue_status = queue_conservative != queue_effective;
         let queue_ok = if self.config.effective_queue_status {
             queue_effective
         } else {
@@ -952,7 +986,7 @@ impl<T: Tracer> UarchPe<T> {
         } else {
             SlotStatus::Eligible
         };
-        (status, mattered)
+        (status, depended)
     }
 
     /// Stall-class priority rank (pred > forbidden > data).
@@ -981,23 +1015,24 @@ impl<T: Tracer> UarchPe<T> {
     /// and the dispatch-table candidate scan funnel through here. It
     /// only reads, so the candidates can stay borrowed from
     /// `self.compiled`; the caller issues after the scan and records
-    /// the flag: whether the +Q setting decided any evaluated slot.
+    /// in the witness what the evaluated slots depended on.
     fn scan_slots(
         &self,
         slots: impl Iterator<Item = usize>,
         pending_preds: u32,
-    ) -> (Result<usize, CycleClass>, bool) {
+    ) -> (Result<usize, CycleClass>, Depended) {
         let mut best_rank = 0u8;
-        let mut mattered = false;
+        let mut depended = Depended::NOTHING;
         for slot in slots {
-            let (status, decided_by_q) = self.slot_status(slot, pending_preds);
-            mattered |= decided_by_q;
+            let (status, slot_depended) = self.slot_status(slot, pending_preds);
+            depended.queue_status |= slot_depended.queue_status;
+            depended.nesting_limit |= slot_depended.nesting_limit;
             if status == SlotStatus::Eligible {
-                return (Ok(slot), mattered);
+                return (Ok(slot), depended);
             }
             best_rank = best_rank.max(Self::stall_rank(status));
         }
-        (Err(Self::rank_class(best_rank)), mattered)
+        (Err(Self::rank_class(best_rank)), depended)
     }
 
     /// Side-effect-free full scan over every slot, for debug
@@ -1048,8 +1083,7 @@ impl<T: Tracer> UarchPe<T> {
         }
 
         // A still-matching idle key proves the scan would repeat the
-        // latched stall, whose evaluations were already witnessed for
-        // `queue_status_mattered`.
+        // latched stall, whose evaluations are already in the witness.
         if let Some(class) = self.idle_class() {
             #[cfg(debug_assertions)]
             self.debug_check_latched_stall(class);
@@ -1082,11 +1116,18 @@ impl<T: Tracer> UarchPe<T> {
         #[cfg(debug_assertions)]
         let (reference_slot, reference_rank) = self.debug_reference_scan(pending_preds);
 
-        let (scanned, mattered) = match candidates {
+        let (scanned, depended) = match candidates {
             Some(slots) => self.scan_slots(slots.iter().map(|&s| s as usize), pending_preds),
             None => self.scan_slots(0..self.program.len(), pending_preds),
         };
-        self.queue_status_mattered |= mattered;
+        self.witness.queue_status_mattered |= depended.queue_status;
+        if depended.nesting_limit {
+            // Every slot the scan evaluated saw the outstanding count
+            // of now (the issue below has not pushed yet); any limit
+            // above it gives the same answers.
+            let needed = u8::try_from(self.spec_stack.len() + 1).unwrap_or(u8::MAX);
+            self.witness.spec_depth_needed = self.witness.spec_depth_needed.max(needed);
+        }
         let class = match scanned {
             Ok(slot) => {
                 self.issue(slot);
@@ -1379,8 +1420,8 @@ impl<T: Tracer> UarchPe<T> {
         // The idle key describes the pre-restore timeline; drop it so
         // the restored PE re-proves inertness by stepping.
         self.idle = None;
-        // Whether +Q decided anything before the snapshot is unknown.
-        self.queue_status_mattered = true;
+        // What the knobs decided before the snapshot is unknown.
+        self.witness = ConfigWitness::UNKNOWN;
         Ok(())
     }
 }

@@ -25,6 +25,13 @@ pub fn forbidden(instruction: &Instruction, config: &UarchConfig, outstanding: u
     )
 }
 
+/// Whether the nesting limit decides this evaluation of [`forbidden`]
+/// (see [`tia_isa::spec_rules::limit_decides`]): the only evaluations
+/// in which `speculation_depth` changes the scheduler.
+pub fn limit_decides(instruction: &Instruction, config: &UarchConfig, outstanding: usize) -> bool {
+    tia_isa::spec_rules::limit_decides(instruction, config.predicate_prediction, outstanding)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -100,10 +100,30 @@ pub fn forbidden(
     speculation_depth: usize,
     outstanding: usize,
 ) -> bool {
-    (outstanding > 0 && instruction.has_dequeue())
+    dequeue_forbidden(instruction, outstanding)
         || (predicate_prediction
             && instruction.writes_predicate()
             && outstanding >= speculation_depth.max(1))
+}
+
+/// The dequeue clause of [`forbidden`], which no nesting limit moves.
+fn dequeue_forbidden(instruction: &Instruction, outstanding: usize) -> bool {
+    outstanding > 0 && instruction.has_dequeue()
+}
+
+/// Whether the nesting limit decides this evaluation of [`forbidden`]:
+/// a +P predicate writer that the dequeue clause does not already
+/// forbid. Then it is forbidden at every `speculation_depth` up to
+/// `outstanding` and allowed at every larger one. Otherwise no limit
+/// changes the answer.
+pub fn limit_decides(
+    instruction: &Instruction,
+    predicate_prediction: bool,
+    outstanding: usize,
+) -> bool {
+    predicate_prediction
+        && instruction.writes_predicate()
+        && !dequeue_forbidden(instruction, outstanding)
 }
 
 #[cfg(test)]
@@ -189,5 +209,42 @@ mod tests {
         assert!(!forbidden(&i, false, 1, 1));
         // Depth 0 is clamped to the hardware minimum of 1.
         assert!(forbidden(&i, true, 0, 1));
+    }
+
+    #[test]
+    fn only_a_deciding_limit_changes_the_rule() {
+        let p = Params::default();
+        let both = Instruction {
+            dequeues: dequeuer(&p).dequeues,
+            trigger: dequeuer(&p).trigger,
+            ..writer(&p)
+        };
+        assert_eq!(restriction(&both), SpecRestriction::DequeueAndWriter);
+        for i in [
+            writer(&p),
+            dequeuer(&p),
+            both.clone(),
+            Instruction::default(),
+        ] {
+            for pp in [false, true] {
+                for outstanding in 0..=3 {
+                    let answers: Vec<bool> = (1..=6)
+                        .map(|depth| forbidden(&i, pp, depth, outstanding))
+                        .collect();
+                    let expected: Vec<bool> = if limit_decides(&i, pp, outstanding) {
+                        (1..=6).map(|depth| depth <= outstanding).collect()
+                    } else {
+                        vec![answers[0]; 6]
+                    };
+                    assert_eq!(answers, expected, "{i:?} pp={pp} outstanding={outstanding}");
+                }
+            }
+        }
+        assert!(limit_decides(&writer(&p), true, 2));
+        assert!(!limit_decides(&writer(&p), false, 2));
+        // A writer the dequeue clause already forbids is not decided
+        // by the limit.
+        assert!(!limit_decides(&both, true, 2));
+        assert!(limit_decides(&both, true, 0));
     }
 }

@@ -46,8 +46,9 @@ cargo build --release -p tia-bench -p tia-asm
 # every experiment that simulates workloads (sec1, fig4-fig8, the three
 # ablations and dse_export) stores one record per run and reads the
 # runs it shares with the others from it, so each distinct run is
-# simulated at most once (a run whose trigger decisions never depended
-# on +Q also answers its +Q twin's key). Keys embed workload, scale,
+# simulated at most once (a run also answers the keys that differ only
+# in +Q or nesting depth where its trigger decisions never depended on
+# them; see docs/performance.md, "Twins"). Keys embed workload, scale,
 # ISA parameters and microarchitecture, so test- and paper-scale runs
 # coexist in one file; concurrent experiments serialize appends
 # through the store's lock file. A warm store turns every repeated
