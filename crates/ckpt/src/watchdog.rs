@@ -12,15 +12,15 @@
 //!   executing `halt` — usually a missing final predicate transition.
 //!
 //! The [`Watchdog`] detects both after a configurable window of
-//! retirement-free cycles, and [`run_guarded`] packages the
-//! step/observe loop with a diagnostic [`hang_report`] dump.
+//! retirement-free cycles; [`run_guarded`] drives a system's run loop
+//! under it, and [`hang_report`] dumps the diagnosis.
 
 use serde::{Serialize, Value};
 use tia_fabric::{ProcessingElement, Snapshotable, System};
 use tia_prof::{CycleStack, SystemProfiler};
 use tia_trace::ProfileSource;
 
-/// One cycle's liveness observation, fed to [`Watchdog::observe`].
+/// A liveness observation at one cycle, fed to [`Watchdog::observe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Progress {
     /// The system cycle just completed.
@@ -101,9 +101,10 @@ impl std::fmt::Display for Hang {
 
 /// A retirement-progress watchdog.
 ///
-/// Feed it one [`Progress`] per cycle; it fires once `window`
-/// consecutive cycles pass without any PE retiring (and the system has
-/// not halted). Pipelined PEs legitimately stall for bounded spans —
+/// Feed it a [`Progress`] after each cycle, or after each span of
+/// cycles a fast-forward skipped; it fires once `window` consecutive
+/// cycles pass without any PE retiring (and the system has not
+/// halted). Pipelined PEs legitimately stall for bounded spans —
 /// memory latency, hazard chains, queue backpressure — so `window`
 /// must exceed the longest legitimate stall (see `docs/robustness.md`
 /// for tuning; the default used by the CLI tools is 10 000 cycles).
@@ -125,7 +126,9 @@ impl std::fmt::Display for Hang {
 #[derive(Debug, Clone)]
 pub struct Watchdog {
     window: u64,
-    last_retired: Option<u64>,
+    /// Cycle and retirement count of the last observation; `None`
+    /// before the first.
+    last: Option<(u64, u64)>,
     stalled_for: u64,
 }
 
@@ -135,7 +138,7 @@ impl Watchdog {
     pub fn new(window: u64) -> Self {
         Watchdog {
             window: window.max(1),
-            last_retired: None,
+            last: None,
             stalled_for: 0,
         }
     }
@@ -145,8 +148,7 @@ impl Watchdog {
         self.window
     }
 
-    /// Consecutive retirement-free cycles observed so far (including
-    /// any credited through [`Watchdog::note_skipped`]).
+    /// Consecutive retirement-free cycles observed so far.
     pub fn stalled_for(&self) -> u64 {
         self.stalled_for
     }
@@ -155,69 +157,67 @@ impl Watchdog {
     /// observation and the next without the watchdog missing its
     /// firing cycle.
     ///
-    /// The fast-forward engine clamps each skip to this headroom so
-    /// that the observation in which `stalled_for` first reaches the
-    /// window is a real, simulated step: the hang is then flagged at
-    /// exactly the cycle — with exactly the fields — the
-    /// cycle-by-cycle run would have produced.
+    /// A caller that fast-forwards keeps each skip within this
+    /// headroom, so the observation in which `stalled_for` first
+    /// reaches the window lands on the firing cycle itself: the hang
+    /// is then flagged at exactly the cycle — with exactly the fields
+    /// — the cycle-by-cycle run would have produced.
     pub fn quiet_headroom(&self) -> u64 {
-        if self.last_retired.is_none() {
+        if self.last.is_none() {
             return 0;
         }
         (self.window - 1).saturating_sub(self.stalled_for)
     }
 
-    /// Credits `cycles` retirement-free cycles that were fast-forwarded
-    /// rather than observed one at a time. Callers must keep `cycles`
-    /// within [`Watchdog::quiet_headroom`].
-    pub fn note_skipped(&mut self, cycles: u64) {
-        debug_assert!(
-            self.stalled_for + cycles < self.window,
-            "skips must leave the firing cycle to a real observation"
-        );
-        self.stalled_for += cycles;
+    /// Observes the run at `progress.cycle`. Returns a [`Hang`] when
+    /// the window elapses without retirement; keeps firing on later
+    /// stalled observations until progress resumes or the run stops.
+    ///
+    /// Every cycle since the previous observation is credited at once,
+    /// so one observation after a fast-forwarded span counts it as
+    /// fully as per-cycle observations would have.
+    pub fn observe(&mut self, progress: Progress) -> Option<Hang> {
+        self.credit(progress.cycle, progress.retired, progress.halted)
+            .then(|| self.hang(progress.cycle, progress.queued_tokens))
     }
 
-    /// Observes one cycle of progress. Returns a [`Hang`] when the
-    /// window elapses without retirement; keeps firing on subsequent
-    /// stalled cycles until progress resumes or the run stops.
-    pub fn observe(&mut self, progress: Progress) -> Option<Hang> {
-        if progress.halted {
-            self.stalled_for = 0;
-            self.last_retired = Some(progress.retired);
-            return None;
+    /// The counting half of [`Watchdog::observe`]: credits the cycles
+    /// up to `cycle` and reports whether the window has elapsed.
+    fn credit(&mut self, cycle: u64, retired: u64, halted: bool) -> bool {
+        match self.last.replace((cycle, retired)) {
+            // The first observation is a baseline, not progress; a
+            // halted system or a retirement restarts the count.
+            Some((last_cycle, last_retired)) if !halted && retired <= last_retired => {
+                self.stalled_for += cycle.saturating_sub(last_cycle);
+                self.stalled_for >= self.window
+            }
+            _ => {
+                self.stalled_for = 0;
+                false
+            }
         }
-        let advanced = match self.last_retired {
-            // First observation: baseline, not progress.
-            None => true,
-            Some(prev) => progress.retired > prev,
-        };
-        self.last_retired = Some(progress.retired);
-        if advanced {
-            self.stalled_for = 0;
-            return None;
-        }
-        self.stalled_for += 1;
-        if self.stalled_for < self.window {
-            return None;
-        }
-        Some(if progress.queued_tokens > 0 {
+    }
+
+    /// The hang flagged at `cycle` once the window has elapsed:
+    /// a deadlock when tokens are queued, quiescence otherwise.
+    fn hang(&self, cycle: u64, queued_tokens: u64) -> Hang {
+        if queued_tokens > 0 {
             Hang::Deadlock {
-                cycle: progress.cycle,
+                cycle,
                 stalled_for: self.stalled_for,
-                queued_tokens: progress.queued_tokens,
+                queued_tokens,
             }
         } else {
             Hang::Quiescent {
-                cycle: progress.cycle,
+                cycle,
                 stalled_for: self.stalled_for,
             }
-        })
+        }
     }
 
     /// Resets the stall counter and baseline (e.g. after a restore).
     pub fn reset(&mut self) {
-        self.last_retired = None;
+        self.last = None;
         self.stalled_for = 0;
     }
 }
@@ -241,6 +241,13 @@ pub enum GuardedOutcome {
 
 /// Runs `system` until every PE halts, `max_cycles` elapse, or the
 /// watchdog flags a hang — whichever comes first.
+///
+/// The watchdog observes from [`System::run_until`]'s condition, after
+/// every stepped cycle and every fast-forwarded span. Each `run_until`
+/// call is bounded to one cycle past the watchdog's quiet headroom, so
+/// a skip may land on the firing cycle but never past it: the hang has
+/// the cycle and fields of the cycle-by-cycle run. The buffered tokens
+/// that tell a deadlock from quiescence are counted once, at the hang.
 pub fn run_guarded<P: ProcessingElement>(
     system: &mut System<P>,
     max_cycles: u64,
@@ -257,31 +264,22 @@ pub fn run_guarded<P: ProcessingElement>(
                 cycle: system.cycle(),
             };
         }
-        system.step();
-        let progress = Progress {
-            cycle: system.cycle(),
-            retired: system.total_retired(),
-            queued_tokens: system.buffered_tokens(),
-            halted: system.all_halted(),
-        };
-        if let Some(hang) = watchdog.observe(progress) {
-            return GuardedOutcome::Hung(hang);
-        }
-        // Fast-forward through provably inert stretches, bounded by
-        // the watchdog's headroom so the firing cycle (if any) is
-        // still reached by a real step. Skipped cycles are credited to
-        // the stall counter as if each had been observed. A halted
-        // system is never skipped: the loop above must report the
-        // halt cycle exactly. The idle-horizon probe is only paid on
-        // cycles the watchdog already saw retire nothing
-        // (`stalled_for > 0`) — a retiring fabric is not inert.
-        if system.fast_forward() && !progress.halted && watchdog.stalled_for() > 0 {
-            let budget = max_cycles.saturating_sub(system.cycle());
-            let skip = system.idle_horizon(budget.min(watchdog.quiet_headroom()));
-            if skip > 0 {
-                system.skip_cycles(skip);
-                watchdog.note_skipped(skip);
-            }
+        let chunk = watchdog
+            .quiet_headroom()
+            .saturating_add(1)
+            .min(max_cycles - system.cycle());
+        let mut hung = false;
+        system.run_until(
+            |s| {
+                let halted = s.all_halted();
+                hung = watchdog.credit(s.cycle(), s.total_retired(), halted);
+                hung || halted
+            },
+            chunk,
+        );
+        if hung {
+            let queued_tokens = system.buffered_tokens();
+            return GuardedOutcome::Hung(watchdog.hang(system.cycle(), queued_tokens));
         }
     }
 }
@@ -387,6 +385,27 @@ mod tests {
         assert_eq!(dog.observe(p(3, 6, 1)), None);
         assert_eq!(dog.observe(p(4, 6, 1)), None);
         assert!(dog.observe(p(5, 6, 1)).is_some());
+    }
+
+    #[test]
+    fn a_gap_between_observations_counts_every_cycle_in_it() {
+        let mut dog = Watchdog::new(10);
+        assert_eq!(dog.observe(p(1, 5, 2)), None);
+        // Cycles 2..=8 were fast-forwarded: the observation at cycle
+        // 9 credits all eight.
+        assert_eq!(dog.observe(p(9, 5, 2)), None);
+        assert_eq!(dog.stalled_for(), 8);
+        // One more unobserved cycle fits; the observation after it
+        // lands on the firing cycle.
+        assert_eq!(dog.quiet_headroom(), 1);
+        assert_eq!(
+            dog.observe(p(11, 5, 2)),
+            Some(Hang::Deadlock {
+                cycle: 11,
+                stalled_for: 10,
+                queued_tokens: 2,
+            })
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::ops::{Add, AddAssign};
 
 use serde::{Deserialize, Serialize};
-use tia_trace::MetricsRegistry;
+use tia_trace::{MetricsRegistry, StallClass};
 
 /// Why the scheduler failed to issue this cycle (or that it issued).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,6 +29,19 @@ pub enum CycleClass {
     /// blocking, which the paper folds into this component — +Q
     /// shrinks it, Figure 5).
     NotTriggered,
+}
+
+impl CycleClass {
+    /// The trace's name for this stall; `None` for an issue.
+    pub(crate) fn stall(self) -> Option<StallClass> {
+        match self {
+            CycleClass::Issued => None,
+            CycleClass::PredicateHazard => Some(StallClass::PredicateHazard),
+            CycleClass::Forbidden => Some(StallClass::Forbidden),
+            CycleClass::DataHazard => Some(StallClass::DataHazard),
+            CycleClass::NotTriggered => Some(StallClass::NotTriggered),
+        }
+    }
 }
 
 /// Accumulated event counts for a cycle-level PE.
@@ -69,6 +82,18 @@ impl UarchCounters {
     /// Fresh, all-zero counters.
     pub fn new() -> Self {
         UarchCounters::default()
+    }
+
+    /// Charges `cycles` cycles of `class` to its stall counter. An
+    /// issue is charged later, when it retires or is quashed.
+    pub(crate) fn charge(&mut self, class: CycleClass, cycles: u64) {
+        match class {
+            CycleClass::Issued => {}
+            CycleClass::PredicateHazard => self.pred_hazard_cycles += cycles,
+            CycleClass::Forbidden => self.forbidden_cycles += cycles,
+            CycleClass::DataHazard => self.data_hazard_cycles += cycles,
+            CycleClass::NotTriggered => self.not_triggered_cycles += cycles,
+        }
     }
 
     /// Cycles per retired instruction.

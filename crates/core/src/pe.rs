@@ -35,8 +35,8 @@ use tia_isa::{
 };
 use tia_jit::{CompiledProgram, CompiledSlot};
 use tia_trace::{
-    ChannelPressure, EventKind, NullTracer, ProfCounters, ProfileSource, QueueDir, StallClass,
-    StallInsight, Tracer,
+    ChannelPressure, EventKind, NullTracer, ProfCounters, ProfileSource, QueueDir, StallInsight,
+    Tracer,
 };
 
 use crate::config::{ConfigWitness, UarchConfig};
@@ -410,22 +410,9 @@ impl<T: Tracer> UarchPe<T> {
                 queue_versions: self.queue_version_sum(),
             });
         }
-        match class {
-            CycleClass::Issued => {}
-            CycleClass::PredicateHazard => self.counters.pred_hazard_cycles += 1,
-            CycleClass::Forbidden => self.counters.forbidden_cycles += 1,
-            CycleClass::DataHazard => self.counters.data_hazard_cycles += 1,
-            CycleClass::NotTriggered => self.counters.not_triggered_cycles += 1,
-        }
+        self.counters.charge(class, 1);
         if T::ENABLED {
-            let stall = match class {
-                CycleClass::Issued => None,
-                CycleClass::PredicateHazard => Some(StallClass::PredicateHazard),
-                CycleClass::Forbidden => Some(StallClass::Forbidden),
-                CycleClass::DataHazard => Some(StallClass::DataHazard),
-                CycleClass::NotTriggered => Some(StallClass::NotTriggered),
-            };
-            if let Some(class) = stall {
+            if let Some(class) = class.stall() {
                 self.tracer
                     .emit(self.pe_id, self.now, EventKind::Stall { class });
             }
@@ -1240,22 +1227,12 @@ impl<T: Tracer> UarchPe<T> {
         debug_assert!(!self.halted);
         #[cfg(debug_assertions)]
         self.debug_check_latched_stall(class);
-        match class {
-            CycleClass::Issued => unreachable!("an issuing cycle is never latched as a stall"),
-            CycleClass::PredicateHazard => self.counters.pred_hazard_cycles += cycles,
-            CycleClass::Forbidden => self.counters.forbidden_cycles += cycles,
-            CycleClass::DataHazard => self.counters.data_hazard_cycles += cycles,
-            CycleClass::NotTriggered => self.counters.not_triggered_cycles += cycles,
-        }
+        let stall = class
+            .stall()
+            .expect("an issuing cycle is never latched as a stall");
+        self.counters.charge(class, cycles);
         self.counters.cycles += cycles;
         if T::ENABLED {
-            let stall = match class {
-                CycleClass::Issued => unreachable!(),
-                CycleClass::PredicateHazard => StallClass::PredicateHazard,
-                CycleClass::Forbidden => StallClass::Forbidden,
-                CycleClass::DataHazard => StallClass::DataHazard,
-                CycleClass::NotTriggered => StallClass::NotTriggered,
-            };
             for _ in 0..cycles {
                 self.now += 1;
                 self.tracer

@@ -763,17 +763,22 @@ impl<P: ProcessingElement> System<P> {
         self.ff_stats.skipped_cycles += cycles;
     }
 
-    /// Runs until `condition` holds (checked after each cycle) or
-    /// `max_cycles` elapse.
+    /// Runs until `condition` holds or `max_cycles` elapse.
+    /// `condition` is checked after every stepped cycle and after
+    /// every bulk skip.
     ///
     /// With fast-forwarding enabled (see [`System::fast_forward`]),
     /// provably inert spans are skipped in bulk via
     /// [`System::skip_cycles`]; the run is bit-identical to the
     /// cycle-by-cycle one as long as `condition` depends only on system
     /// *state* (queues, counters, halt flags — all frozen across a
-    /// skipped span), not on the cycle number itself. Callers with
-    /// cycle-triggered conditions should disable fast-forwarding or
-    /// bound `max_cycles` instead.
+    /// skipped span), not on the cycle number itself. A skip never
+    /// runs past the budget, so a condition that must see one
+    /// particular cycle bounds `max_cycles` to end there, as
+    /// `tia_ckpt::run_guarded` does.
+    ///
+    /// This is the one loop that fast-forwards a system: profilers and
+    /// watchdogs observe the run from inside `condition`.
     pub fn run_until<F>(&mut self, mut condition: F, max_cycles: u64) -> StopReason
     where
         F: FnMut(&System<P>) -> bool,
@@ -790,7 +795,8 @@ impl<P: ProcessingElement> System<P> {
             if condition(self) {
                 return StopReason::Condition;
             }
-            if retired_before == Some(self.total_retired()) {
+            // A probe at the end of the budget could skip nothing.
+            if self.cycle < end && retired_before == Some(self.total_retired()) {
                 // Exponential backoff after consecutive unproductive
                 // probes (see `probe_cooldown`): suppressed probes just
                 // step normally, which is bit-identical.
@@ -1240,6 +1246,31 @@ mod tests {
         // One real step, then a single bulk skip to the limit.
         assert_eq!(sys.pe(0).stepped, 1_000_000);
         assert_eq!(sys.pe(0).skipped, 999_999);
+    }
+
+    #[test]
+    fn a_run_ending_on_its_budget_does_not_probe_its_last_cycle() {
+        let mut sys = System::new(Memory::new(0));
+        sys.add_pe(SleepyPe::new(None));
+        // Each one-cycle run retires nothing and ends on its budget:
+        // there is nothing left to skip, so no probe runs, none is
+        // counted as suppressed and no backoff is armed.
+        for _ in 0..3 {
+            assert_eq!(sys.run(1), StopReason::CycleLimit);
+        }
+        assert_eq!(sys.fast_forward_stats(), FastForwardStats::default());
+        // The next run therefore probes right after its first step.
+        assert_eq!(sys.run(1_000), StopReason::CycleLimit);
+        assert_eq!(sys.cycle(), 1_003);
+        assert_eq!(
+            sys.fast_forward_stats(),
+            FastForwardStats {
+                probes: 1,
+                probe_hits: 1,
+                skipped_cycles: 999,
+                suppressed_probes: 0,
+            }
+        );
     }
 
     /// No environment variable turns the engine off: re-running the

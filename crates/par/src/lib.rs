@@ -277,26 +277,9 @@ where
     (pairs.into_iter().map(|(_, r)| r).collect(), stats)
 }
 
-/// Runs `f` on every item for its side effects, fanned across
-/// [`worker_count`] scoped threads. Ordering of the *calls* is
-/// unspecified (that is the point); use [`par_map`] when results
-/// matter.
-///
-/// # Panics
-///
-/// Propagates worker panics like [`par_map`].
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    par_map(items, |item| f(item));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn results_are_index_ordered_at_every_worker_count() {
@@ -329,16 +312,6 @@ mod tests {
             x
         });
         assert_eq!(got, items);
-    }
-
-    #[test]
-    fn par_for_each_visits_every_item_once() {
-        let items: Vec<usize> = (0..100).collect();
-        let hits: Vec<AtomicU64> = (0..items.len()).map(|_| AtomicU64::new(0)).collect();
-        par_for_each(&items, |&i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

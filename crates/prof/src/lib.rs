@@ -8,8 +8,9 @@
 //!   `sum(stack) == cycles` invariant checked in debug builds.
 //! * [`profiler`] — [`PeProfiler`] (one stand-alone PE, the
 //!   `tia-funcsim` surface) and [`SystemProfiler`] (whole fabric),
-//!   plus [`profile_run`] which mirrors `System::run` — including the
-//!   fast-forward engine — under observation.
+//!   plus [`profile_run`], which is `System::run_until` with the
+//!   profiler observing from its condition, so a profiled run probes
+//!   and skips exactly like an unprofiled one.
 //! * [`critical`] — [`CriticalPathReport`]: PEs ranked by busy share,
 //!   channels by backpressure evidence, read ports by traffic, and an
 //!   upstream token-dependency walk from the busiest PE.
@@ -27,7 +28,7 @@ pub mod profiler;
 pub mod stack;
 
 pub use critical::{rank_pe_channels, ChannelRank, CriticalPathReport, PathStep, PeRank, PortRank};
-pub use profiler::{classify_pe_stall, profile_run, profile_run_with, PeProfiler, SystemProfiler};
+pub use profiler::{classify_pe_stall, profile_run, PeProfiler, SystemProfiler};
 pub use stack::{CycleStack, Leaf, LeafShares};
 // The observation window the simulators implement, re-exported so
 // profiler users need not depend on `tia-trace` directly.

@@ -332,56 +332,27 @@ impl SystemProfiler {
     }
 }
 
-/// Runs `system` until every PE halts or `max_cycles` elapse — exactly
-/// like [`System::run`], including the fast-forward engine — while
-/// profiling every PE.
-///
-/// The profiler observes after every stepped cycle and after every
-/// bulk-skipped span (whose stall state is frozen by construction, so
-/// the coarser observation loses nothing). Because observation is
-/// read-only, the run is bit-identical to an unprofiled
+/// Runs `system` until every PE halts or `max_cycles` elapse, profiling
+/// every PE: [`System::run`] with the profiler observing from the
+/// [`System::run_until`] condition, after every stepped cycle and
+/// every bulk-skipped span (whose stall state is frozen by
+/// construction, so the coarser observation loses nothing). The run
+/// probes and skips exactly like an unprofiled one, and because
+/// observation is read-only it is bit-identical to
 /// `system.run(max_cycles)`.
 pub fn profile_run<P>(system: &mut System<P>, max_cycles: u64) -> (StopReason, SystemProfiler)
 where
     P: ProcessingElement + ProfileSource,
 {
     let mut profiler = SystemProfiler::new(system);
-    let reason = profile_run_with(system, max_cycles, &mut profiler);
+    let reason = system.run_until(
+        |s| {
+            profiler.observe(s);
+            s.all_halted()
+        },
+        max_cycles,
+    );
     (reason, profiler)
-}
-
-/// [`profile_run`] over a caller-owned profiler, letting one profiler
-/// span several run segments (e.g. the main run plus a drain loop).
-pub fn profile_run_with<P>(
-    system: &mut System<P>,
-    max_cycles: u64,
-    profiler: &mut SystemProfiler,
-) -> StopReason
-where
-    P: ProcessingElement + ProfileSource,
-{
-    let end = system.cycle().saturating_add(max_cycles);
-    while system.cycle() < end {
-        // Mirrors `System::run_until(all_halted)`: probe the idle
-        // horizon only after a cycle that retired nothing.
-        let retired_before = system.fast_forward().then(|| system.total_retired());
-        system.step();
-        profiler.observe(system);
-        if system.all_halted() {
-            return StopReason::Condition;
-        }
-        if retired_before == Some(system.total_retired()) {
-            let skip = system.idle_horizon(end - system.cycle());
-            if skip > 0 {
-                system.skip_cycles(skip);
-                profiler.observe(system);
-                if system.all_halted() {
-                    return StopReason::Condition;
-                }
-            }
-        }
-    }
-    StopReason::CycleLimit
 }
 
 #[cfg(test)]

@@ -528,9 +528,9 @@ fn simulate<T: Tracer>(
         // rejected push bumps the queue's `rejected` statistic, which
         // snapshots record), checkpoint boundaries (the file must be
         // written), and the watchdog's firing cycle (clamped to its
-        // quiet headroom, with skipped cycles credited via
-        // `note_skipped`). The result is bit-identical to the
-        // cycle-by-cycle run.
+        // quiet headroom; its next observation credits the skipped
+        // cycles). The result is bit-identical to the cycle-by-cycle
+        // run.
         if cycle < opts.max_cycles && pe.is_quiescent() {
             let mut skip = opts.max_cycles - cycle;
             for (_, tokens, next, period) in &streams {
@@ -551,9 +551,6 @@ fn simulate<T: Tracer>(
             }
             if skip > 0 {
                 pe.skip_idle_cycles(skip);
-                if let Some(dog) = &mut watchdog {
-                    dog.note_skipped(skip);
-                }
                 cycle += skip;
                 // One observation covers the whole frozen span: the
                 // PE's trigger state cannot change while quiescent, so

@@ -13,13 +13,19 @@ pub enum StallClass {
     /// A trigger depended on a predicate still being computed
     /// (resolved by predicate prediction in `+P` configurations).
     PredicateHazard,
-    /// An operand queue was empty or an output queue full
-    /// (mitigated by effective queue status in `+Q` configurations).
+    /// A triggered instruction was blocked by the register-operand
+    /// interlock: on a split-ALU pipeline, it reads a register that
+    /// the instruction issued the cycle before has not yet written.
     DataHazard,
-    /// The highest-priority trigger was architecturally forbidden from
-    /// issuing (e.g. a structural dequeue conflict).
+    /// A triggered instruction was forbidden from issuing by the
+    /// speculation restrictions (§5.2: pre-retirement side effects or
+    /// nested predictions).
     Forbidden,
-    /// No instruction's trigger condition held.
+    /// No instruction's trigger condition held. This includes cycles
+    /// blocked by conservative queue status (an input with a pending
+    /// dequeue looks empty, an output with an in-flight enqueue looks
+    /// full), which effective queue status in `+Q` configurations
+    /// shrinks (Fig. 5).
     NotTriggered,
 }
 

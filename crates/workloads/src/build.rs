@@ -136,12 +136,7 @@ impl<P: ProcessingElement> Built<P> {
         // ports land. Each token needs at most a couple of cycles per
         // hop and the total buffered population is bounded by the
         // queue capacities.
-        for _ in 0..512 {
-            self.system.step();
-            if self.system.ports_idle() {
-                break;
-            }
-        }
+        self.system.run_until(|s| s.ports_idle(), 512);
         self.verify()
     }
 

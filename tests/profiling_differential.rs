@@ -2,15 +2,18 @@
 //! pipeline (10 workloads × 8 pipelines at +P+Q, plus the functional
 //! model), running under the cycle-stack profiler must be
 //! bit-identical to running without it — same stop reason, same cycle
-//! count, same retirement totals, and a byte-identical serialized
-//! snapshot — while every PE's stack sums exactly to the observed
-//! cycle count. A proptest half drives randomly generated linear
-//! phase-machine programs under random streamed traffic and asserts
-//! the same attribution invariant cycle by cycle.
+//! count, same retirement totals, a byte-identical serialized
+//! snapshot and the same fast-forward probes and skips — while every
+//! PE's stack sums exactly to the observed cycle count. A guarded run
+//! under a watchdog that never fires must end the same way too. A
+//! proptest half drives randomly generated linear phase-machine
+//! programs under random streamed traffic and asserts the same
+//! attribution invariant cycle by cycle.
 
 use proptest::prelude::*;
+use tia::ckpt::{run_guarded, GuardedOutcome, Watchdog};
 use tia::core::{Pipeline, UarchConfig, UarchPe};
-use tia::fabric::{ProcessingElement, Snapshotable, System, Token};
+use tia::fabric::{ProcessingElement, Snapshotable, StopReason, System, Token};
 use tia::isa::{Params, Program};
 use tia::prof::{profile_run, PeProfiler, ProfileSource};
 use tia::sim::FuncPe;
@@ -20,6 +23,12 @@ use tia::workloads::{PeFactory, Scale, WorkloadKind, ALL_WORKLOADS};
 /// differential: long enough to cross each workload's halt at test
 /// scale).
 const K: u64 = 1_500;
+
+/// Watchdog window for the guarded arm: eight times the longest
+/// retirement-free stretch of any workload here (8 cycles at test
+/// scale), so it never fires, yet it splits every run longer than the
+/// window into `run_until` chunks.
+const GUARD_WINDOW: u64 = 64;
 
 fn snapshot_json<P: ProcessingElement + Snapshotable>(system: &System<P>) -> String {
     serde_json::to_string_pretty(&system.save_state()).expect("snapshot serializes")
@@ -64,6 +73,33 @@ where
         snapshot_json(&profiled.system),
         snapshot_json(&plain.system),
         "{kind}/{label}: final state diverged"
+    );
+    assert_eq!(
+        profiled.system.fast_forward_stats(),
+        plain.system.fast_forward_stats(),
+        "{kind}/{label}: fast-forward probed or skipped differently"
+    );
+
+    // The guarded run feeds the same loop in watchdog-bounded chunks;
+    // with a window the run cannot fill, it must end like the plain one.
+    let mut guarded = build(factory);
+    let mut watchdog = Watchdog::new(GUARD_WINDOW);
+    let outcome = run_guarded(&mut guarded.system, k, &mut watchdog);
+    let cycle = plain.system.cycle();
+    let expected = match reason_plain {
+        StopReason::Condition => GuardedOutcome::Halted { cycle },
+        StopReason::CycleLimit => GuardedOutcome::CycleLimit { cycle },
+    };
+    assert_eq!(outcome, expected, "{kind}/{label}: guarded outcome");
+    assert_eq!(
+        guarded.system.total_retired(),
+        plain.system.total_retired(),
+        "{kind}/{label}: guarded retirement count diverged"
+    );
+    assert_eq!(
+        snapshot_json(&guarded.system),
+        snapshot_json(&plain.system),
+        "{kind}/{label}: guarded final state diverged"
     );
 
     let observed = profiler.observed_cycles();
