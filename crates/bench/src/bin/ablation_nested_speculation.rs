@@ -13,12 +13,12 @@
 //! `tia_core::ConfigWitness`): a cold suite simulates 16 of the 90
 //! runs at depths 2-4.
 
-use tia_bench::{scale_from_args, suite_keys, RunStore, Table};
+use tia_bench::{suite_keys, Args, RunStore, Table};
 use tia_core::{CpiStack, Pipeline, UarchConfig};
 use tia_workloads::ALL_WORKLOADS;
 
 fn main() {
-    let scale = scale_from_args();
+    let args = Args::from_env(&[]);
     println!("Ablation: speculation nesting depth (suite average).\n");
     let mut t = Table::new(&[
         "pipeline",
@@ -40,7 +40,7 @@ fn main() {
         .iter()
         .map(|&(pipeline, depth)| UarchConfig::with_nested(pipeline, depth))
         .collect();
-    let store = RunStore::from_args(scale);
+    let store = RunStore::from_args(&args);
     let runs = store.runs(&suite_keys(&configs));
     store.report();
     let averages: Vec<CpiStack> = runs

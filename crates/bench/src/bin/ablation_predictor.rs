@@ -4,12 +4,12 @@
 //! this harness compares it against one-bit and static predictors on
 //! the deepest pipeline, per workload.
 
-use tia_bench::{scale_from_args, RunKey, RunStore, Table};
+use tia_bench::{Args, RunKey, RunStore, Table};
 use tia_core::{Pipeline, PredictorKind, UarchConfig};
 use tia_workloads::ALL_WORKLOADS;
 
 fn main() {
-    let scale = scale_from_args();
+    let args = Args::from_env(&[]);
     println!("Ablation: predicate predictor design (T|D|X1|X2 +P+Q).\n");
     let mut t = Table::new(&[
         "workload",
@@ -30,7 +30,7 @@ fn main() {
             })
         })
         .collect();
-    let store = RunStore::from_args(scale);
+    let store = RunStore::from_args(&args);
     let runs = store.runs(&keys);
     store.report();
     let predictors = PredictorKind::ALL.len();

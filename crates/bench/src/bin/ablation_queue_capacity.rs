@@ -8,12 +8,12 @@
 //! WaveScalar reject-buffer tradeoff — while +Q gets most of the
 //! benefit at minimal capacity.
 
-use tia_bench::{scale_from_args, RunKey, RunStore, Table};
+use tia_bench::{Args, RunKey, RunStore, Table};
 use tia_core::{Pipeline, UarchConfig};
 use tia_workloads::WorkloadKind;
 
 fn main() {
-    let scale = scale_from_args();
+    let args = Args::from_env(&[]);
     println!("Ablation: queue capacity vs scheduler discipline (T|D|X1|X2, merge).\n");
     let mut t = Table::new(&[
         "capacity",
@@ -39,7 +39,7 @@ fn main() {
             })
         })
         .collect();
-    let store = RunStore::from_args(scale);
+    let store = RunStore::from_args(&args);
     let runs = store.runs(&keys);
     store.report();
     for (capacity, row) in capacities.iter().zip(runs.chunks(disciplines.len())) {

@@ -23,20 +23,16 @@
 use std::fs;
 use std::process::ExitCode;
 
-use tia_bench::{scale_from_args, RunStore};
+use tia_bench::{Args, Opt, RunStore};
 use tia_energy::dse::par_explore;
 use tia_energy::pareto::pareto_frontier;
 
 fn main() -> ExitCode {
-    let scale = scale_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let output = args
-        .iter()
-        .position(|a| a == "-o" || a == "--output")
-        .and_then(|i| args.get(i + 1).cloned());
-    let expect_warm = args.iter().any(|a| a == "--expect-warm");
+    let args = Args::from_env(&[Opt::Value("-o", "FILE"), Opt::Switch("--expect-warm")]);
+    let output = args.value("-o");
+    let expect_warm = args.switch("--expect-warm");
 
-    let runs = RunStore::from_args(scale);
+    let runs = RunStore::from_args(&args);
     if expect_warm && runs.store().is_none() {
         eprintln!("dse_export: --expect-warm needs --store PATH (or TIA_STORE)");
         return ExitCode::FAILURE;
@@ -69,7 +65,7 @@ fn main() -> ExitCode {
 
     match output {
         Some(path) => {
-            fs::write(&path, &json).expect("write output file");
+            fs::write(path, &json).expect("write output file");
             eprintln!(
                 "wrote {} design points ({} Pareto-optimal) to {path}",
                 points.len(),

@@ -3,7 +3,7 @@
 //! front-end / back-end accounting.
 
 use serde::Serialize;
-use tia_bench::{json_out_from_args, write_json, Table};
+use tia_bench::{write_json, Args, Table};
 use tia_energy::area_power::{Component, TDX_AREA_UM2, TDX_POWER_MW};
 
 #[derive(Serialize)]
@@ -17,6 +17,7 @@ struct BreakdownPoint {
 }
 
 fn main() {
+    let args = Args::from_env(&[]);
     let mut t = Table::new(&["component", "area %", "area µm²", "power %", "power mW"]);
     let mut points: Vec<BreakdownPoint> = Vec::new();
     for c in Component::ALL {
@@ -64,7 +65,7 @@ fn main() {
         100.0 * Component::Queues.area_fraction(),
         100.0 * Component::Queues.power_fraction(),
     );
-    if let Some(path) = json_out_from_args() {
-        write_json(&path, &points);
+    if let Some(path) = args.json() {
+        write_json(path, &points);
     }
 }

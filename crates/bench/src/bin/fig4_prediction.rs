@@ -7,7 +7,7 @@
 //! depth.
 
 use serde::Serialize;
-use tia_bench::{json_out_from_args, scale_from_args, suite_keys, write_json, RunStore, Table};
+use tia_bench::{suite_keys, write_json, Args, RunStore, Table};
 use tia_core::{Pipeline, UarchConfig};
 use tia_workloads::ALL_WORKLOADS;
 
@@ -20,14 +20,14 @@ struct PredictionPoint {
 }
 
 fn main() {
-    let scale = scale_from_args();
+    let args = Args::from_env(&[]);
     let config = UarchConfig::with_pq(Pipeline::T_DX);
     let mut t = Table::new(&["workload", "pred. write freq.", "prediction accuracy"]);
     let mut points: Vec<PredictionPoint> = Vec::new();
     let mut freq_sum = 0.0;
     let mut acc_sum = 0.0;
     let mut acc_count = 0usize;
-    let store = RunStore::from_args(scale);
+    let store = RunStore::from_args(&args);
     let runs = store.runs(&suite_keys(&[config]));
     store.report();
     for run in &runs {
@@ -65,7 +65,7 @@ fn main() {
     println!(" filter and merge are the ~50% worst case; gcd, stream and mean are");
     println!(" near-perfect; dot_product makes no datapath predicate writes.)\n");
     print!("{}", t.render());
-    if let Some(path) = json_out_from_args() {
-        write_json(&path, &points);
+    if let Some(path) = args.json() {
+        write_json(path, &points);
     }
 }

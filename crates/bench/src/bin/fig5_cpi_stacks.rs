@@ -4,9 +4,7 @@
 //! selectively enabled, averaged over the ten workloads.
 
 use serde::Serialize;
-use tia_bench::{
-    activity_of, json_out_from_args, scale_from_args, suite_keys, write_json, RunStore, Table,
-};
+use tia_bench::{activity_of, suite_keys, write_json, Args, RunStore, Table};
 use tia_core::{CpiStack, Pipeline, UarchConfig};
 use tia_prof::{Leaf, LeafShares};
 use tia_workloads::ALL_WORKLOADS;
@@ -24,7 +22,7 @@ struct StackPoint {
 }
 
 fn main() {
-    let scale = scale_from_args();
+    let args = Args::from_env(&[]);
     let mut configs: Vec<UarchConfig> = Vec::new();
     for pipeline in Pipeline::ALL {
         if pipeline == Pipeline::TDX {
@@ -38,7 +36,7 @@ fn main() {
 
     // One run per (microarchitecture, workload) cell; each bar
     // averages its ten runs in workload order.
-    let store = RunStore::from_args(scale);
+    let store = RunStore::from_args(&args);
     let runs = store.runs(&suite_keys(&configs));
     store.report();
     let averages: Vec<(CpiStack, LeafShares)> = runs
@@ -85,8 +83,8 @@ fn main() {
     }
     print!("{}", t.render());
     println!();
-    if let Some(path) = json_out_from_args() {
-        write_json(&path, &points);
+    if let Some(path) = args.json() {
+        write_json(path, &points);
     }
 
     // The paper's headline: the two optimizations together reduce the

@@ -1,13 +1,13 @@
 //! Regenerates **Figure 6**: energy-delay frontiers for each supply
 //! voltage in the design space, with `bst`-derived activity as in §3.
 
-use tia_bench::{scale_from_args, RunStore, Table};
+use tia_bench::{Args, RunStore, Table};
 use tia_energy::dse::{par_explore, DesignPoint};
 use tia_energy::pareto::{pareto_frontier, span};
 
 fn main() {
-    let scale = scale_from_args();
-    let runs = RunStore::from_args(scale);
+    let args = Args::from_env(&[]);
+    let runs = RunStore::from_args(&args);
     let points = par_explore(&runs.population_activity());
     runs.report();
     println!(

@@ -5,7 +5,7 @@
 //! by 20-25% in both energy and delay").
 
 use serde::Serialize;
-use tia_bench::{json_out_from_args, scale_from_args, write_json, RunStore, Table};
+use tia_bench::{write_json, Args, RunStore, Table};
 use tia_energy::dse::{par_explore, DesignPoint};
 use tia_energy::pareto::{frontier_energy_improvement, pareto_frontier};
 
@@ -41,8 +41,8 @@ fn frontier_points(frontier: &[DesignPoint]) -> Vec<FrontierPoint> {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let runs = RunStore::from_args(scale);
+    let args = Args::from_env(&[]);
+    let runs = RunStore::from_args(&args);
     let points = par_explore(&runs.population_activity());
     runs.report();
 
@@ -114,7 +114,7 @@ fn main() {
     println!("(paper: the optimizations improve the balanced frontier by 20-25% in both");
     println!(" energy and delay, with +Q alone optimal at the high-performance extreme)");
 
-    if let Some(path) = json_out_from_args() {
+    if let Some(path) = args.json() {
         let frontiers: Vec<Frontier> = [
             ("None", &none),
             ("+P", &p_only),
@@ -128,6 +128,6 @@ fn main() {
             points: frontier_points(frontier),
         })
         .collect();
-        write_json(&path, &frontiers);
+        write_json(path, &frontiers);
     }
 }

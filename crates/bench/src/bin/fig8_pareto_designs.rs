@@ -2,13 +2,13 @@
 //! Pareto-optimal designs, including the §5.4 power-density
 //! comparison against 65 nm CPUs and GPUs.
 
-use tia_bench::{scale_from_args, RunStore, Table};
+use tia_bench::{Args, RunStore, Table};
 use tia_energy::dse::par_explore;
 use tia_energy::pareto::{density_context, pareto_frontier, span};
 
 fn main() {
-    let scale = scale_from_args();
-    let runs = RunStore::from_args(scale);
+    let args = Args::from_env(&[]);
+    let runs = RunStore::from_args(&args);
     let points = par_explore(&runs.population_activity());
     runs.report();
     let frontier = pareto_frontier(&points);

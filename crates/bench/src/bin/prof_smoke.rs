@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use tia_bench::scale_from_args;
+use tia_bench::{Args, Opt};
 use tia_core::{Pipeline, UarchConfig, UarchPe};
 use tia_fabric::StopReason;
 use tia_isa::Params;
@@ -80,8 +80,9 @@ fn sweep_profiled(configs: &[UarchConfig], scale: Scale) -> (u64, Vec<Leaf>) {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let assert_overhead = std::env::args().any(|a| a == "--assert-overhead");
+    let args = Args::from_env(&[Opt::Switch("--assert-overhead")]);
+    let scale = args.scale();
+    let assert_overhead = args.switch("--assert-overhead");
     let configs = [
         UarchConfig::base(Pipeline::TDX),
         UarchConfig::with_p(Pipeline::T_DX),

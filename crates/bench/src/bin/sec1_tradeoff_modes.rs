@@ -9,7 +9,7 @@
 //! frequency, this harness shows where pipelining's headroom can be
 //! spent on the paper's best balanced pipeline (T|DX +P+Q).
 
-use tia_bench::{activity_of, scale_from_args, suite_keys, RunStore, Table};
+use tia_bench::{activity_of, suite_keys, Args, RunStore, Table};
 use tia_core::{Pipeline, UarchConfig};
 use tia_energy::dse::evaluate;
 use tia_energy::max_frequency_mhz;
@@ -17,12 +17,12 @@ use tia_energy::tech::VtClass;
 use tia_workloads::ALL_WORKLOADS;
 
 fn main() {
-    let scale = scale_from_args();
+    let args = Args::from_env(&[]);
     let vt = VtClass::Standard;
 
     let baseline_config = UarchConfig::base(Pipeline::TDX);
     let config = UarchConfig::with_pq(Pipeline::T_DX);
-    let store = RunStore::from_args(scale);
+    let store = RunStore::from_args(&args);
     let runs = store.runs(&suite_keys(&[baseline_config, config]));
     store.report();
     let (baseline_runs, runs) = runs.split_at(ALL_WORKLOADS.len());

@@ -3,7 +3,7 @@
 //! (T|D|X1|X2 at 500 MHz / 1.0 V), against the WaveScalar-style
 //! output-queue padding alternative.
 
-use tia_bench::{json_out_from_args, Table};
+use tia_bench::{Args, Table};
 use tia_core::{Pipeline, UarchConfig};
 use tia_energy::area_power::{
     base_area_um2, dynamic_energy_per_cycle_pj, reject_buffer_cost, DEEP_BASE_AREA_UM2,
@@ -17,7 +17,7 @@ fn power_at_500mhz(config: &UarchConfig) -> f64 {
 }
 
 fn main() {
-    json_out_from_args();
+    Args::from_env(&[]);
     let deep = Pipeline::T_D_X1_X2;
     let configs = [
         ("baseline", UarchConfig::base(deep)),

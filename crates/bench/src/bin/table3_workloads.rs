@@ -5,13 +5,13 @@
 //! for dot product to 411,540 for gcd. The total number of cycles ...
 //! maxes out at approximately 700,000").
 
-use tia_bench::{scale_from_args, Table};
+use tia_bench::{Args, Table};
 use tia_isa::Params;
 use tia_sim::FuncPe;
 use tia_workloads::{WorkloadKind, ALL_WORKLOADS};
 
 fn main() {
-    let scale = scale_from_args();
+    let args = Args::from_env(&[]);
     let params = Params::default();
     let mut t = Table::new(&[
         "workload",
@@ -28,7 +28,7 @@ fn main() {
     let rows = tia_par::par_map(&sorted, |&kind| {
         let mut factory = |p: &Params, prog| FuncPe::new(p, prog);
         let mut built = kind
-            .build(&params, scale, &mut factory)
+            .build(&params, args.scale(), &mut factory)
             .unwrap_or_else(|e| panic!("{kind}: {e}"));
         let outcome = built.run_to_completion();
         let c = built.system.pe(built.worker).counters();

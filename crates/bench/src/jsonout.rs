@@ -9,32 +9,6 @@ use std::path::Path;
 
 use serde::Serialize;
 
-/// Parses the common harness flag `--json FILE`: the path the binary
-/// should write its machine-readable data points to, if any.
-/// `run_all_experiments.sh` passes `--json FILE` to every experiment,
-/// so binaries with no JSON form call this too, for its check alone.
-///
-/// # Panics
-///
-/// Panics when `--json` is the last argument or is followed by an
-/// empty one, rather than silently writing no JSON.
-pub fn json_out_from_args() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--json" {
-            let path = args
-                .next()
-                .unwrap_or_else(|| panic!("--json needs a FILE argument"));
-            assert!(
-                !path.trim().is_empty(),
-                "--json needs a non-empty FILE argument"
-            );
-            return Some(path);
-        }
-    }
-    None
-}
-
 /// Serializes `value` as pretty-printed JSON into `path`, creating
 /// parent directories as needed.
 ///

@@ -9,12 +9,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod args;
 pub mod jsonout;
 pub mod measure;
 pub mod store;
 pub mod table;
 
-pub use jsonout::{json_out_from_args, write_json};
-pub use measure::{activity_of, coarse_stack, run_uarch_workload, scale_from_args, MeasuredRun};
+pub use args::{Args, Opt};
+pub use jsonout::write_json;
+pub use measure::{activity_of, coarse_stack, run_uarch_workload, MeasuredRun};
 pub use store::{suite_keys, RunKey, RunStore, StoreReset, MEASUREMENT_SCHEMA_VERSION};
 pub use table::Table;

@@ -8,7 +8,6 @@ use tia_isa::Params;
 use tia_prof::{CycleStack, LeafShares};
 use tia_workloads::{Scale, WorkloadKind};
 
-use crate::jsonout::json_out_from_args;
 use crate::store::RunKey;
 
 /// The outcome of running one workload on one microarchitecture: what
@@ -112,21 +111,6 @@ pub fn activity_of(runs: &[MeasuredRun]) -> CpiMeasurement {
         issue_rate: issue_sum / n,
         stack,
         bottleneck: stack.bottleneck(),
-    }
-}
-
-/// Parses the common harness flags: `--test-scale` selects the small
-/// input set, otherwise the paper-scale inputs are used.
-///
-/// # Panics
-///
-/// Panics on a malformed `--json` flag (see [`json_out_from_args`]).
-pub fn scale_from_args() -> Scale {
-    json_out_from_args();
-    if std::env::args().any(|a| a == "--test-scale") {
-        Scale::Test
-    } else {
-        Scale::Paper
     }
 }
 

@@ -31,6 +31,7 @@ use tia_isa::Params;
 use tia_store::{canonical_bytes, canonical_hash, from_canonical_bytes, Hash, Store, StoreError};
 use tia_workloads::{Scale, WorkloadKind, ALL_WORKLOADS};
 
+use crate::args::Args;
 use crate::measure::{activity_of, run_uarch_workload, MeasuredRun};
 
 /// The measurement-input schema version, folded into every store key
@@ -159,16 +160,8 @@ fn scale_label(scale: Scale) -> &'static str {
 
 /// The measurement-store path from `--store PATH` or `TIA_STORE`, if
 /// either is set (see [`RunStore::from_args`]).
-fn store_path_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--store") {
-        let path = args
-            .get(i + 1)
-            .unwrap_or_else(|| panic!("--store needs a PATH argument"));
-        assert!(
-            !path.trim().is_empty(),
-            "--store needs a non-empty PATH argument"
-        );
+fn store_path(args: &Args) -> Option<PathBuf> {
+    if let Some(path) = args.value("--store") {
         return Some(PathBuf::from(path));
     }
     match std::env::var("TIA_STORE") {
@@ -304,14 +297,13 @@ impl RunStore {
     /// # Panics
     ///
     /// Panics when the configured store cannot be opened, and on a
-    /// present-but-useless path (`--store` without a path, an empty
-    /// path, non-UTF-8 `TIA_STORE`) rather than silently running
-    /// uncached.
-    pub fn from_args(scale: Scale) -> Self {
-        let Some(path) = store_path_from_args() else {
-            return RunStore::unstored(scale);
+    /// present-but-useless `TIA_STORE` (empty or non-UTF-8) rather than
+    /// silently running uncached.
+    pub fn from_args(args: &Args) -> Self {
+        let Some(path) = store_path(args) else {
+            return RunStore::unstored(args.scale());
         };
-        let (runs, reset) = RunStore::open(&path, scale)
+        let (runs, reset) = RunStore::open(&path, args.scale())
             .unwrap_or_else(|e| panic!("cannot open measurement store {}: {e}", path.display()));
         if let Some(reason) = reset {
             eprintln!(

@@ -246,8 +246,8 @@ pub fn par_explore<S: SyncCpiSource>(source: &S) -> Vec<DesignPoint> {
     par_explore_with(tia_par::worker_count(), source)
 }
 
-/// [`par_explore`] with an explicit worker count, for scaling studies
-/// (the `dse_scaling` bench measures 1/2/4 workers side by side).
+/// [`par_explore`] with an explicit worker count (the determinism
+/// tests hold 1, 2 and 4 workers to [`explore`]).
 pub fn par_explore_with<S: SyncCpiSource>(workers: usize, source: &S) -> Vec<DesignPoint> {
     par_explore_stats_with(workers, source).0
 }

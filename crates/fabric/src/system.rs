@@ -425,7 +425,7 @@ impl<P: ProcessingElement> System<P> {
     /// Fast-forwarding is exact — counters, traces and checkpoints are
     /// bit-identical either way — so turning it off only selects the
     /// stepped reference path that the fast-forward differential tests
-    /// and the `fast_forward` criterion bench compare against.
+    /// compare against.
     pub fn set_fast_forward(&mut self, enable: bool) {
         self.fast_forward = enable;
         self.probe_misses = 0;

@@ -91,11 +91,12 @@ fn empty_and_header_only_files_open_clean() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Several processes open one store at once when the experiment suite
-/// starts. Writing the header of a fresh file and cutting a torn tail
-/// both rewrite the file, so an opener that did either without the
-/// append lock could write a second header or cut a live append, and
-/// every record after that point would be dropped on the next open.
+/// Several processes may open one store at once, for example two
+/// suites, or a suite and a `dse_export`, that share a file. Writing
+/// the header of a fresh file and cutting a torn tail both rewrite the
+/// file, so an opener that did either without the append lock could
+/// write a second header or cut a live append, and every record after
+/// that point would be dropped on the next open.
 #[test]
 fn concurrent_openers_lose_no_records() {
     const OPENERS: usize = 8;

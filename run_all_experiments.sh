@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every table, figure and ablation of the paper into
-# results/. Pass --test-scale for a fast small-input run and
-# --jobs N to bound the experiment pool (default: nproc).
+# results/, one experiment after another. Pass --test-scale for a fast
+# small-input run. Each simulating experiment spreads its own runs over
+# TIA_THREADS workers (default: every core).
 #
 # Each experiment writes results/<name>.txt (the human-readable table)
 # and results/logs/<name>.log (its stderr); binaries that support
@@ -13,33 +14,19 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-SCALE=""
-JOBS="$(nproc 2>/dev/null || echo 1)"
+SCALE=()
 while (($# > 0)); do
     case "$1" in
-        --test-scale) SCALE="--test-scale" ;;
-        --jobs)
-            JOBS="${2:?--jobs needs a count}"
-            shift
-            ;;
-        --jobs=*) JOBS="${1#--jobs=}" ;;
+        --test-scale) SCALE=(--test-scale) ;;
         *)
-            echo "usage: $0 [--test-scale] [--jobs N]" >&2
+            echo "usage: $0 [--test-scale]" >&2
             exit 2
             ;;
     esac
     shift
 done
-case "$JOBS" in
-    '' | *[!0-9]* | 0)
-        echo "--jobs must be a positive integer, got '$JOBS'" >&2
-        exit 2
-        ;;
-esac
 
 mkdir -p results results/logs results/store
-timing_dir="$(mktemp -d)"
-trap 'rm -rf "$timing_dir"' EXIT
 cargo build --release -p tia-bench -p tia-asm
 
 # One content-addressed measurement store shared by the whole suite:
@@ -50,8 +37,8 @@ cargo build --release -p tia-bench -p tia-asm
 # in +Q or nesting depth where its trigger decisions never depended on
 # them; see docs/performance.md, "Twins"). Keys embed workload, scale,
 # ISA parameters and microarchitecture, so test- and paper-scale runs
-# coexist in one file; concurrent experiments serialize appends
-# through the store's lock file. A warm store turns every repeated
+# coexist in one file; the store's lock file serializes appends from
+# any processes that share it. A warm store turns every repeated
 # experiment into pure lookups; an interrupted suite resumes the same
 # way.
 STORE="results/store/measurements.store"
@@ -100,65 +87,43 @@ suite_start=$(now_us)
 # OUTFILE and stderr to results/logs/NAME.log, reporting wall-clock
 # time, and records (rather than aborts on) a failure so one broken
 # experiment doesn't hide the rest.
+entries=()
+failures=()
 run_experiment() {
     local name="$1" outfile="$2"
     shift 2
-    local start status=0
-    start=$(now_us)
+    local start status=0 secs ok=true
     local log="results/logs/$name.log"
+    start=$(now_us)
     "$@" > "$outfile" 2> "$log" || status=$?
-    local secs
     secs=$(seconds_since "$start")
-    printf '%s %s\n' "$status" "$secs" > "$timing_dir/$name"
     if ((status == 0)); then
         echo "== $name (${secs}s)"
     else
+        ok=false
+        failures+=("$name")
         echo "== $name FAILED (exit $status, ${secs}s; log: $log)" >&2
     fi
-    return "$status"
+    entries+=("{\"name\": \"$name\", \"seconds\": $secs, \"ok\": $ok}")
 }
 
-# launch NAME OUTFILE CMD...: run_experiment in the background, holding
-# the number of in-flight experiments at or under JOBS.
-launch() {
-    while (($(jobs -rp | wc -l) >= JOBS)); do
-        wait -n || true # failures are collected from $timing_dir below
-    done
-    run_experiment "$@" &
-}
-
-names=()
-for bin in "${BINS[@]}"; do
-    names+=("$bin")
-    # shellcheck disable=SC2086
-    launch "$bin" "results/$bin.txt" \
-        ./target/release/"$bin" $SCALE --json "results/$bin.json"
-done
-
+names=("${BINS[@]}")
 names+=(dse_export dump_workload_asm)
-# shellcheck disable=SC2086
-launch dse_export results/dse_export.txt \
-    ./target/release/dse_export $SCALE \
-    --store "$STORE" -o results/design_space.json
-launch dump_workload_asm results/dump_workload_asm.txt \
-    ./target/release/dump_workload_asm results/asm
-
-wait || true
+for name in "${names[@]}"; do
+    case "$name" in
+        dse_export) args=("${SCALE[@]}" --store "$STORE" -o results/design_space.json) ;;
+        dump_workload_asm) args=(results/asm) ;;
+        *) args=("${SCALE[@]}" --json "results/$name.json") ;;
+    esac
+    run_experiment "$name" "results/$name.txt" ./target/release/"$name" "${args[@]}"
+done
 suite_secs=$(seconds_since "$suite_start")
 
-failures=()
 {
-    printf '{\n  "jobs": %s,\n  "total_seconds": %s,\n  "experiments": [\n' \
-        "$JOBS" "$suite_secs"
+    printf '{\n  "total_seconds": %s,\n  "experiments": [\n' "$suite_secs"
     sep=""
-    for name in "${names[@]}"; do
-        status=1 secs=0
-        if [[ -f "$timing_dir/$name" ]]; then
-            read -r status secs < "$timing_dir/$name"
-        fi
-        ((status == 0)) || failures+=("$name")
-        printf '%s    {"name": "%s", "seconds": %s, "ok": %s}' \
-            "$sep" "$name" "$secs" "$([[ $status == 0 ]] && echo true || echo false)"
+    for entry in "${entries[@]}"; do
+        printf '%s    %s' "$sep" "$entry"
         sep=$',\n'
     done
     printf '\n  ]\n}\n'
@@ -168,4 +133,4 @@ if ((${#failures[@]} > 0)); then
     echo "FAILED experiments (${#failures[@]}): ${failures[*]}" >&2
     exit 1
 fi
-echo "all outputs in results/ (${suite_secs}s total, $JOBS jobs; timing in results/suite_timing.json)"
+echo "all outputs in results/ (${suite_secs}s total; timing in results/suite_timing.json)"
