@@ -788,6 +788,7 @@ impl<T: Tracer> UarchPe<T> {
     /// effective)` eligibility — the scheduler uses the first without
     /// +Q and the second with it; comparing them classifies
     /// conservative stalls.
+    #[inline(always)]
     fn queue_conditions(&self, c: &CompiledSlot) -> (bool, bool) {
         let mut conservative = true;
         let mut effective = true;
@@ -869,6 +870,7 @@ impl<T: Tracer> UarchPe<T> {
     /// issuing now. Only split-ALU pipelines ever stall: a producer
     /// issued last cycle has not finished X2, so its result cannot be
     /// forwarded to a consumer entering X1 this cycle.
+    #[inline(always)]
     fn register_interlock(&self, instruction: &Instruction) -> bool {
         if !self.config.pipeline.split_x {
             return false;
@@ -886,6 +888,7 @@ impl<T: Tracer> UarchPe<T> {
     /// state, consulting queue/in-flight/speculation state only when
     /// the predicate guard passes, and what the status depended on
     /// (see [`UarchPe::witness`]).
+    #[inline(always)]
     fn slot_status(&self, slot: usize, pending_preds: u32) -> (SlotStatus, Depended) {
         let c = self.compiled.slot(slot);
         if !c.valid {

@@ -16,6 +16,7 @@ use crate::config::UarchConfig;
 /// Whether `instruction` is forbidden from issuing now, given the
 /// configured speculation support and the current number of
 /// unconfirmed predictions (`outstanding`).
+#[inline]
 pub fn forbidden(instruction: &Instruction, config: &UarchConfig, outstanding: usize) -> bool {
     tia_isa::spec_rules::forbidden(
         instruction,
@@ -28,6 +29,7 @@ pub fn forbidden(instruction: &Instruction, config: &UarchConfig, outstanding: u
 /// Whether the nesting limit decides this evaluation of [`forbidden`]
 /// (see [`tia_isa::spec_rules::limit_decides`]): the only evaluations
 /// in which `speculation_depth` changes the scheduler.
+#[inline]
 pub fn limit_decides(instruction: &Instruction, config: &UarchConfig, outstanding: usize) -> bool {
     tia_isa::spec_rules::limit_decides(instruction, config.predicate_prediction, outstanding)
 }

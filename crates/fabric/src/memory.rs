@@ -116,6 +116,7 @@ impl ReadPort {
 
     /// Advances the port one cycle: retires completed loads into
     /// `data_out` and launches one new request from `addr_in`.
+    #[inline]
     pub fn step(&mut self, memory: &Memory) {
         self.now += 1;
         // Retire completed loads, oldest first, while there is space.
@@ -268,6 +269,7 @@ impl WritePort {
     }
 
     /// Advances the port one cycle, committing at most one store.
+    #[inline]
     pub fn step(&mut self, memory: &mut Memory) {
         if !self.addr_in.is_empty() && !self.data_in.is_empty() {
             let addr = self.addr_in.pop().expect("checked non-empty");
@@ -347,6 +349,7 @@ impl SequentialWritePort {
     }
 
     /// Advances the port one cycle, committing at most one store.
+    #[inline]
     pub fn step(&mut self, memory: &mut Memory) {
         if let Some(token) = self.data_in.pop() {
             memory.write(self.next, token.data);

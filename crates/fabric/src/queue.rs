@@ -160,42 +160,50 @@ impl TaggedQueue {
     /// queue's contents changed between cycles (e.g. a fabric push
     /// landing between two trigger evaluations) without re-reading the
     /// contents.
+    #[inline]
     pub fn version(&self) -> u64 {
         self.version
     }
 
     /// The configured capacity.
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Current occupancy in tokens.
+    #[inline]
     pub fn occupancy(&self) -> usize {
         self.tokens.len()
     }
 
     /// Whether the queue holds no tokens.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.tokens.is_empty()
     }
 
     /// Whether the queue is at capacity.
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.tokens.len() == self.capacity
     }
 
     /// The head token, if any.
+    #[inline]
     pub fn peek(&self) -> Option<Token> {
         self.tokens.front().copied()
     }
 
     /// The token at depth `n` (0 = head, 1 = neck, ...), if present.
+    #[inline]
     pub fn peek_at(&self, n: usize) -> Option<Token> {
         self.tokens.get(n).copied()
     }
 
     /// Enqueues a token; returns whether it was accepted (false when
     /// full).
+    #[inline]
     #[must_use = "a rejected push means the queue was full"]
     pub fn push(&mut self, token: Token) -> bool {
         if self.is_full() {
@@ -211,6 +219,7 @@ impl TaggedQueue {
     }
 
     /// Dequeues the head token.
+    #[inline]
     pub fn pop(&mut self) -> Option<Token> {
         let token = self.tokens.pop_front();
         if token.is_some() {

@@ -32,6 +32,7 @@ impl StreamSource {
     }
 
     /// Advances one cycle, staging at most one token.
+    #[inline]
     pub fn step(&mut self) {
         if self.next < self.pending.len() && !self.out.is_full() {
             let accepted = self.out.push(self.pending[self.next]);
@@ -118,6 +119,7 @@ impl StreamSink {
     }
 
     /// Advances one cycle, draining the endpoint completely.
+    #[inline]
     pub fn step(&mut self) {
         while let Some(t) = self.input.pop() {
             self.collected.push(t);

@@ -574,27 +574,44 @@ impl<P: ProcessingElement> System<P> {
         self.cycle += 1;
     }
 
-    fn transfer_links(&mut self) {
-        for i in 0..self.links.len() {
-            let Link { from, to } = self.links[i];
-            // Peek destination space first so we never drop a token.
-            let has_space = match to {
+    /// Whether `link` can move a token on this step: its producer
+    /// endpoint holds a token and its consumer endpoint has space. The
+    /// producer is asked first because most links are idle on most
+    /// cycles. This is the one readiness rule of the fabric: both
+    /// [`System::transfer_links`] and [`System::any_link_ready`] use it.
+    #[inline(always)]
+    fn link_ready(&mut self, Link { from, to }: Link) -> bool {
+        let has_token = match from {
+            OutputRef::Pe { pe, queue } => !self.pes[pe].output_queue_mut(queue).is_empty(),
+            OutputRef::ReadData { port } => !self.read_ports[port].data_out.is_empty(),
+            OutputRef::Source { source } => !self.sources[source].out.is_empty(),
+        };
+        has_token
+            && match to {
                 InputRef::Pe { pe, queue } => !self.pes[pe].input_queue_mut(queue).is_full(),
                 InputRef::ReadAddr { port } => !self.read_ports[port].addr_in.is_full(),
                 InputRef::WriteAddr { port } => !self.write_ports[port].addr_in.is_full(),
                 InputRef::WriteData { port } => !self.write_ports[port].data_in.is_full(),
                 InputRef::SeqWriteData { port } => !self.seq_write_ports[port].data_in.is_full(),
                 InputRef::Sink { sink } => !self.sinks[sink].input.is_full(),
-            };
-            if !has_space {
+            }
+    }
+
+    /// Moves one token over every ready link (see
+    /// [`System::link_ready`]), so a push never meets a full queue.
+    fn transfer_links(&mut self) {
+        for i in 0..self.links.len() {
+            let link = self.links[i];
+            if !self.link_ready(link) {
                 continue;
             }
+            let Link { from, to } = link;
             let token = match from {
                 OutputRef::Pe { pe, queue } => self.pes[pe].output_queue_mut(queue).pop(),
                 OutputRef::ReadData { port } => self.read_ports[port].data_out.pop(),
                 OutputRef::Source { source } => self.sources[source].out.pop(),
-            };
-            let Some(token) = token else { continue };
+            }
+            .expect("a ready link's producer holds a token");
             let accepted = match to {
                 InputRef::Pe { pe, queue } => self.pes[pe].input_queue_mut(queue).push(token),
                 InputRef::ReadAddr { port } => self.read_ports[port].addr_in.push(token),
@@ -603,7 +620,7 @@ impl<P: ProcessingElement> System<P> {
                 InputRef::SeqWriteData { port } => self.seq_write_ports[port].data_in.push(token),
                 InputRef::Sink { sink } => self.sinks[sink].input.push(token),
             };
-            debug_assert!(accepted, "space was checked before popping");
+            debug_assert!(accepted, "a ready link's consumer has space");
             if let Some(tracer) = &mut self.tracer {
                 let cycle = self.cycle;
                 if let OutputRef::Pe { pe, queue } = from {
@@ -634,30 +651,12 @@ impl<P: ProcessingElement> System<P> {
         }
     }
 
-    /// Whether any channel could move a token on the next step: a
-    /// producer endpoint holds a token and the consumer endpoint has
-    /// space. While this is false and every component is inert, the
-    /// whole system state is frozen.
+    /// Whether any channel could move a token on the next step (see
+    /// [`System::link_ready`]). While this is false and every component
+    /// is inert, the whole system state is frozen.
     fn any_link_ready(&mut self) -> bool {
         for i in 0..self.links.len() {
-            let Link { from, to } = self.links[i];
-            let has_token = match from {
-                OutputRef::Pe { pe, queue } => !self.pes[pe].output_queue_mut(queue).is_empty(),
-                OutputRef::ReadData { port } => !self.read_ports[port].data_out.is_empty(),
-                OutputRef::Source { source } => !self.sources[source].out.is_empty(),
-            };
-            if !has_token {
-                continue;
-            }
-            let has_space = match to {
-                InputRef::Pe { pe, queue } => !self.pes[pe].input_queue_mut(queue).is_full(),
-                InputRef::ReadAddr { port } => !self.read_ports[port].addr_in.is_full(),
-                InputRef::WriteAddr { port } => !self.write_ports[port].addr_in.is_full(),
-                InputRef::WriteData { port } => !self.write_ports[port].data_in.is_full(),
-                InputRef::SeqWriteData { port } => !self.seq_write_ports[port].data_in.is_full(),
-                InputRef::Sink { sink } => !self.sinks[sink].input.is_full(),
-            };
-            if has_space {
+            if self.link_ready(self.links[i]) {
                 return true;
             }
         }
@@ -1350,6 +1349,117 @@ mod tests {
         let reason = sys.run_until(|s| s.sink(0).collected().len() == 1, 100);
         assert_eq!(reason, StopReason::Condition);
         assert_eq!(sys.sink(0).words(), vec![9]);
+    }
+
+    /// A PE that never acts: its queues change only through links.
+    #[derive(Debug)]
+    struct ParkedPe {
+        input: TaggedQueue,
+        output: TaggedQueue,
+    }
+
+    impl ParkedPe {
+        /// Capacity-2 queues holding `inputs` and `outputs` tokens.
+        fn holding(inputs: u32, outputs: u32) -> Self {
+            let mut pe = ParkedPe {
+                input: TaggedQueue::new(2),
+                output: TaggedQueue::new(2),
+            };
+            for i in 0..inputs {
+                assert!(pe.input.push(Token::data(i)));
+            }
+            for i in 0..outputs {
+                assert!(pe.output.push(Token::data(100 + i)));
+            }
+            pe
+        }
+    }
+
+    impl ProcessingElement for ParkedPe {
+        fn step(&mut self) {}
+
+        fn input_queue_mut(&mut self, index: usize) -> &mut TaggedQueue {
+            assert_eq!(index, 0);
+            &mut self.input
+        }
+
+        fn output_queue_mut(&mut self, index: usize) -> &mut TaggedQueue {
+            assert_eq!(index, 0);
+            &mut self.output
+        }
+
+        fn is_halted(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn a_link_moves_one_token_only_when_its_producer_holds_one_and_its_consumer_has_space() {
+        let mut sys = System::new(Memory::new(0));
+        // A producer holding a token, into a full consumer.
+        let blocked_from = sys.add_pe(ParkedPe::holding(0, 1));
+        let blocked_to = sys.add_pe(ParkedPe::holding(2, 0));
+        // An empty producer, into a free consumer.
+        let empty = sys.add_source(StreamSource::new(2, Vec::new()));
+        let starved_to = sys.add_pe(ParkedPe::holding(0, 0));
+        // A producer holding two tokens, into a free consumer.
+        let busy_from = sys.add_pe(ParkedPe::holding(0, 2));
+        let busy_to = sys.add_pe(ParkedPe::holding(0, 0));
+        let pe_link = |from, to| {
+            (
+                OutputRef::Pe { pe: from, queue: 0 },
+                InputRef::Pe { pe: to, queue: 0 },
+            )
+        };
+        for (from, to) in [
+            pe_link(blocked_from, blocked_to),
+            (
+                OutputRef::Source { source: empty },
+                InputRef::Pe {
+                    pe: starved_to,
+                    queue: 0,
+                },
+            ),
+            pe_link(busy_from, busy_to),
+        ] {
+            sys.connect(from, to).unwrap();
+        }
+        let pushes = |sys: &mut System<ParkedPe>| -> u64 {
+            (0..sys.num_pes())
+                .map(|pe| sys.pe_mut(pe).input_queue_mut(0).stats().pushes)
+                .sum()
+        };
+
+        // The busy link moves one token per cycle, then every link is
+        // idle: the blocked one stays blocked, the starved one starved.
+        for moves in [1, 1, 0, 0] {
+            let ready = sys.any_link_ready();
+            let before = pushes(&mut sys);
+            sys.step();
+            let moved = pushes(&mut sys) - before;
+            assert_eq!(moved, moves, "cycle {}", sys.cycle());
+            assert_eq!(ready, moved > 0, "any_link_ready disagrees with step");
+        }
+        assert_eq!(sys.pe(blocked_from).output.occupancy(), 1);
+        assert_eq!(sys.pe(blocked_to).input.occupancy(), 2);
+        assert!(sys.pe(starved_to).input.is_empty());
+        assert!(sys.pe(busy_from).output.is_empty());
+        assert_eq!(
+            sys.pe(busy_to)
+                .input
+                .iter()
+                .map(|t| t.data)
+                .collect::<Vec<_>>(),
+            vec![100, 101]
+        );
+
+        // No end of any link ever saw a rejected push.
+        for pe in 0..sys.num_pes() {
+            let pe = sys.pe_mut(pe);
+            assert_eq!(pe.input_queue_mut(0).stats().rejected, 0);
+            assert_eq!(pe.output_queue_mut(0).stats().rejected, 0);
+        }
+        assert_eq!(sys.sources[empty].out.stats().rejected, 0);
     }
 
     #[test]

@@ -94,6 +94,7 @@ pub fn restriction(instruction: &Instruction) -> SpecRestriction {
 /// speculation ever starts, but the dequeue clause is still written in
 /// terms of `outstanding` alone because a non-speculating pipeline
 /// always has `outstanding == 0`.
+#[inline]
 pub fn forbidden(
     instruction: &Instruction,
     predicate_prediction: bool,
@@ -116,6 +117,7 @@ fn dequeue_forbidden(instruction: &Instruction, outstanding: usize) -> bool {
 /// forbid. Then it is forbidden at every `speculation_depth` up to
 /// `outstanding` and allowed at every larger one. Otherwise no limit
 /// changes the answer.
+#[inline]
 pub fn limit_decides(
     instruction: &Instruction,
     predicate_prediction: bool,
